@@ -11,7 +11,6 @@ from .core import (
     from_text,
     isomorphic,
     log_pow,
-    make_structure,
     mention_set,
     render,
 )

@@ -13,7 +13,7 @@ import re
 import sys
 
 from . import core, encode, formula, game, interp
-from .errors import LogifpError, ResourceLimit
+from .errors import LogifpError, ParseError, ResourceLimit
 from .evaluate import evaluate as eval_formula
 from .evaluate import gc_check
 
@@ -21,7 +21,7 @@ from .evaluate import gc_check
 SUBCOMMAND_OPS = {
     "check": ["formula.parse_formula", "formula.validate", "formula.metrics"],
     "eval": ["eval.evaluate", "eval.ifp_fixpoint", "eval.enumerate_bounded_relations",
-             "eval.ceil_log", "eval.log_pow", "core.make_structure", "core.from_text"],
+             "eval.ceil_log", "eval.log_pow", "core.load_structure", "core.from_text"],
     "encode": ["encode.enc_structure", "encode.enc_element", "encode.to_string_structure",
                "core.isomorphic"],
     "decode": ["encode.dec_structure"],
@@ -76,9 +76,12 @@ def _parse_tuples(text: str) -> list:
 def _sig_from_file(path: str) -> core.Signature:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    rels = doc["signature"] if "signature" in doc else doc["relations"]
-    return core.Signature(tuple((n, int(a)) for n, a in rels),
-                          bool(doc.get("ordered", False)))
+    try:
+        rels = doc["signature"] if "signature" in doc else doc["relations"]
+        return core.Signature(tuple((n, int(a)) for n, a in rels),
+                              bool(doc.get("ordered", False)))
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ParseError(f"malformed signature document: {type(exc).__name__}: {exc}") from exc
 
 
 def _add_formula_args(sp):

@@ -17,6 +17,7 @@ from .errors import (
     BadCharacter,
     EmptyString,
     OutOfRange,
+    ParseError,
     SignatureMismatch,
     ZeroArgument,
     ZeroDomain,
@@ -120,10 +121,6 @@ class Structure:
 
     def __repr__(self):
         return f"Structure(n={self.n}, rels={ {k: sorted(v) for k, v in self.rels.items()} })"
-
-
-def make_structure(sig: Signature, n: int, rels: Mapping[str, Iterable[tuple]]) -> Structure:
-    return Structure(sig, n, rels)
 
 
 STR_SIG = Signature(
@@ -235,12 +232,15 @@ def structure_to_json(a: Structure) -> dict:
 
 
 def structure_from_json(doc: dict) -> Structure:
-    sig = Signature(
-        relations=tuple((name, int(arity)) for name, arity in doc["signature"]),
-        ordered=bool(doc.get("ordered", False)),
-    )
-    rels = {name: [tuple(t) for t in ts] for name, ts in doc.get("relations", {}).items()}
-    return Structure(sig, int(doc["n"]), rels)
+    try:
+        sig = Signature(
+            relations=tuple((name, int(arity)) for name, arity in doc["signature"]),
+            ordered=bool(doc.get("ordered", False)),
+        )
+        rels = {name: [tuple(t) for t in ts] for name, ts in doc.get("relations", {}).items()}
+        return Structure(sig, int(doc["n"]), rels)
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        raise ParseError(f"malformed structure document: {type(exc).__name__}: {exc}") from exc
 
 
 def load_structure(path: str) -> Structure:

@@ -1,4 +1,4 @@
-"""Formula AST, concrete grammar, parser, printer, validation and metrics.
+"""Formula AST, traversal, concrete grammar, parser, printer, validation and metrics.
 
 Grammar (ASCII):
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .core import Signature
 from .errors import (
@@ -186,6 +187,71 @@ def disj(parts) -> Formula:
     return out
 
 
+# --- traversal ---
+
+_ATOMIC = (Atom, Eq, Less, Bit)
+_BINDERS = (Exists, Forall, ExistsLog, ForallLog, Ifp)
+
+_TERMS = {
+    Atom: attrgetter("args"),
+    Eq: attrgetter("left", "right"),
+    Less: attrgetter("left", "right"),
+    Bit: attrgetter("value", "index"),
+    Ifp: attrgetter("terms"),
+}
+
+
+def terms(g: Formula) -> tuple:
+    """The terms an atomic formula or a fixed point is applied to; () for
+    any other node."""
+    get = _TERMS.get(type(g))
+    return get(g) if get else ()
+
+
+def walk(f: Formula):
+    """Pre-order over the atomic formulas, quantifiers and fixed points of
+    `f`, passing through And/Or/Implies/Not without yielding them.
+
+    Yields (node, frozenset of element variables bound above it,
+    {relation variable: arity} bound above it, number of log-quantifiers
+    above it); the set and the dict are shared between nodes, so callers
+    must not mutate them.  An explicit stack replaces recursion, so the
+    depth of `f` is not limited by Python's recursion limit.
+    """
+    stack = [(f, frozenset(), {}, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        g, bound, rels, nlog = item = pop()
+        t = type(g)
+        if t in _ATOMIC:
+            yield item
+        elif t in _BINARY:
+            push((g.right, bound, rels, nlog))
+            push((g.left, bound, rels, nlog))
+        elif t is Not:
+            push((g.body, bound, rels, nlog))
+        elif t in _BINDERS:
+            yield item
+            if t is Exists or t is Forall:
+                push((g.body, bound | {g.var}, rels, nlog))
+            elif t is Ifp:
+                push((g.body, bound.union(g.vars), {**rels, g.relvar: len(g.vars)}, nlog))
+            else:
+                push((g.body, bound, {**rels, g.relvar: g.arity}, nlog + 1))
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+
+
+def _element_names(g: Formula, out: set):
+    """Add to `out` the element variables that node `g` binds or applies to."""
+    t = type(g)
+    if t is Exists or t is Forall:
+        out.add(g.var)
+    elif t is Ifp:
+        out.update(g.vars)
+    out.update([x.name for x in terms(g) if type(x) is Var])
+
+
 # --- pretty printer ---
 
 
@@ -229,27 +295,16 @@ def _pp(f: Formula, operand: bool) -> str:
 # --- lexer ---
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<op>->|<-|[()\[\].,=<:!&|#]))"
+    r"(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<op>->|<-|[()\[\].,=<:!&|#])|(?P<bad>\S)"
 )
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise FormulaSyntaxError(at, "a token", text[at])
-        if m.lastgroup is None and m.group().strip() == "":
-            pos = m.end()
-            continue
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise FormulaSyntaxError(m.start(), "a token", m.group())
+        tokens.append((m.lastgroup, m.group(), m.start()))
     tokens.append(("eof", "", len(text)))
     return tokens
 
@@ -290,17 +345,7 @@ class _Parser:
         left = self.or_level()
         if self.peek()[1] == "->":
             self.next()
-            return Implies(left, self.formula_after_arrow())
-        return left
-
-    def formula_after_arrow(self):
-        q = self.try_quantifier()
-        if q is not None:
-            return q
-        left = self.or_level()
-        if self.peek()[1] == "->":
-            self.next()
-            return Implies(left, self.formula_after_arrow())
+            return Implies(left, self.formula())
         return left
 
     def try_quantifier(self):
@@ -468,75 +513,50 @@ def validate(f: Formula, sig: Signature):
     """Arity/order checks.  Returns (free element vars, {free relvar: arity})."""
     free_elem: set[str] = set()
     free_rel: dict[str, int] = {}
-
-    def term_check(t: Term, bound: frozenset):
-        if isinstance(t, Var):
-            if t.name not in bound:
-                free_elem.add(t.name)
-        elif isinstance(t, (Lit, LogN)):
-            if not sig.ordered:
-                raise OrderUsedUnordered(f"term {t} needs the built-in order")
-        else:
-            raise TypeError(f"not a term: {t!r}")
-
-    def relvar_seen(name: str, arity: int, bound_rel: dict):
-        declared = bound_rel.get(name, free_rel.get(name))
-        if declared is None:
-            free_rel[name] = arity
-        elif declared != arity:
-            raise ArityMismatch(f"relation variable {name} used with arities {declared} and {arity}")
-
-    def walk(g: Formula, bound: frozenset, bound_rel: dict):
+    arities = dict(sig.relations)
+    ordered = sig.ordered
+    for g, bound, rels, _ in walk(f):
         t = type(g)
-        if t is Atom:
-            for a in g.args:
-                term_check(a, bound)
-            if sig.has(g.name):
-                if len(g.args) != sig.arity(g.name):
-                    raise ArityMismatch(
-                        f"{g.name} expects {sig.arity(g.name)} args, got {len(g.args)}"
-                    )
-            else:
-                relvar_seen(g.name, len(g.args), bound_rel)
-        elif t in (Eq, Less):
-            if t is Less and not sig.ordered:
-                raise OrderUsedUnordered("'<' used on an unordered signature")
-            term_check(g.left, bound)
-            term_check(g.right, bound)
-        elif t is Bit:
-            if not sig.ordered:
-                raise OrderUsedUnordered("BIT used on an unordered signature")
-            term_check(g.value, bound)
-            term_check(g.index, bound)
-        elif t is Not:
-            walk(g.body, bound, bound_rel)
-        elif t in (And, Or, Implies):
-            walk(g.left, bound, bound_rel)
-            walk(g.right, bound, bound_rel)
-        elif t in (Exists, Forall):
-            walk(g.body, bound | {g.var}, bound_rel)
-        elif t in (ExistsLog, ForallLog):
-            walk(g.body, bound, {**bound_rel, g.relvar: g.arity})
-        elif t is Ifp:
+        if t is Ifp:
             if len(g.vars) != len(g.terms):
                 raise IfpShapeError(
                     f"ifp over {g.relvar}: {len(g.vars)} variables vs {len(g.terms)} terms"
                 )
             if len(set(g.vars)) != len(g.vars):
                 raise IfpShapeError(f"ifp variables {g.vars} not distinct")
-            if sig.has(g.relvar):
+            if g.relvar in arities:
                 raise UnknownRelation(f"ifp variable {g.relvar} shadows a signature relation")
-            for x in g.terms:
-                term_check(x, bound)
-            walk(g.body, bound | set(g.vars), {**bound_rel, g.relvar: len(g.vars)})
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-
-    walk(f, frozenset(), {})
-    for name in free_rel:
-        if sig.has(name):
-            raise UnknownRelation(name)
-    return frozenset(free_elem), dict(free_rel)
+        elif t is ExistsLog or t is ForallLog:
+            if g.relvar in arities:
+                raise UnknownRelation(
+                    f"log-quantified variable {g.relvar} shadows a signature relation"
+                )
+        elif t is Less and not ordered:
+            raise OrderUsedUnordered("'<' used on an unordered signature")
+        elif t is Bit and not ordered:
+            raise OrderUsedUnordered("BIT used on an unordered signature")
+        for x in terms(g):
+            if type(x) is Var:
+                if x.name not in bound:
+                    free_elem.add(x.name)
+            elif type(x) is not Lit and type(x) is not LogN:
+                raise TypeError(f"not a term: {x!r}")
+            elif not ordered:
+                raise OrderUsedUnordered(f"term {x} needs the built-in order")
+        if t is Atom:
+            name, arity = g.name, len(g.args)
+            if name in arities:
+                if arity != arities[name]:
+                    raise ArityMismatch(f"{name} expects {arities[name]} args, got {arity}")
+            else:
+                declared = rels.get(name, free_rel.get(name))
+                if declared is None:
+                    free_rel[name] = arity
+                elif declared != arity:
+                    raise ArityMismatch(
+                        f"relation variable {name} used with arities {declared} and {arity}"
+                    )
+    return frozenset(free_elem), free_rel
 
 
 # --- metrics ---
@@ -552,118 +572,48 @@ class Metrics:
 
 
 def lqr(f: Formula) -> int:
-    t = type(f)
-    if t in (Atom, Eq, Less, Bit):
-        return 0
-    if t is Not:
-        return lqr(f.body)
-    if t in (And, Or, Implies):
-        return max(lqr(f.left), lqr(f.right))
-    if t in (Exists, Forall):
-        return lqr(f.body)
-    if t in (ExistsLog, ForallLog):
-        return lqr(f.body) + 1
-    if t is Ifp:
-        return lqr(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    return metrics(f).lqr
 
 
 def height(f: Formula) -> int:
-    t = type(f)
-    if t in (Atom, Eq, Less, Bit):
-        return 0
-    if t is Not:
-        return height(f.body)
-    if t in (And, Or, Implies):
-        return max(height(f.left), height(f.right))
-    if t in (Exists, Forall):
-        return height(f.body)
-    if t in (ExistsLog, ForallLog):
-        return max(f.k, height(f.body))
-    if t is Ifp:
-        return height(f.body)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _has_log_quantifier(f: Formula) -> bool:
-    return height(f) > 0
-
-
-def _is_prenex_existential(f: Formula) -> bool:
-    while type(f) is ExistsLog:
-        f = f.body
-    return not _has_log_quantifier(f)
+    return metrics(f).height
 
 
 def element_variables(f: Formula) -> frozenset:
     out: set[str] = set()
-
-    def term(t):
-        if isinstance(t, Var):
-            out.add(t.name)
-
-    def walk(g):
-        t = type(g)
-        if t is Atom:
-            for a in g.args:
-                term(a)
-        elif t in (Eq, Less):
-            term(g.left)
-            term(g.right)
-        elif t is Bit:
-            term(g.value)
-            term(g.index)
-        elif t is Not:
-            walk(g.body)
-        elif t in (And, Or, Implies):
-            walk(g.left)
-            walk(g.right)
-        elif t in (Exists, Forall):
-            out.add(g.var)
-            walk(g.body)
-        elif t in (ExistsLog, ForallLog):
-            walk(g.body)
-        elif t is Ifp:
-            out.update(g.vars)
-            for x in g.terms:
-                term(x)
-            walk(g.body)
-
-    walk(f)
+    for g, _, _, _ in walk(f):
+        _element_names(g, out)
     return frozenset(out)
 
 
 def metrics(f: Formula, sig: Signature | None = None) -> Metrics:
     """mva counts relation variables that are free or log-quantified;
-    names belonging to `sig` (when given) are relations, not variables."""
-    arities: list[int] = []
-
-    def is_sig(name):
-        return sig is not None and sig.has(name)
-
-    def walk(g, bound_rel: frozenset):
+    names belonging to `sig` (when given) are relations, not variables.
+    height is the largest exponent k of a log-quantifier, lqr the deepest
+    nesting of log-quantifiers."""
+    arities = dict(sig.relations) if sig is not None else {}
+    mva = top_k = depth = log_quantifiers = 0
+    elems: set[str] = set()
+    for g, _, rels, nlog in walk(f):
         t = type(g)
         if t is Atom:
-            if not is_sig(g.name) and g.name not in bound_rel:
-                arities.append(len(g.args))  # free relation variable
-        elif t is Not:
-            walk(g.body, bound_rel)
-        elif t in (And, Or, Implies):
-            walk(g.left, bound_rel)
-            walk(g.right, bound_rel)
-        elif t in (Exists, Forall):
-            walk(g.body, bound_rel)
-        elif t in (ExistsLog, ForallLog):
-            arities.append(g.arity)
-            walk(g.body, bound_rel | {g.relvar})
-        elif t is Ifp:
-            walk(g.body, bound_rel | {g.relvar})
-
-    walk(f, frozenset())
+            if g.name not in rels and g.name not in arities:
+                mva = max(mva, len(g.args))  # free relation variable
+        elif t is ExistsLog or t is ForallLog:
+            mva = max(mva, g.arity)
+            top_k = max(top_k, g.k)
+            depth = max(depth, nlog + 1)
+            log_quantifiers += 1
+        _element_names(g, elems)
+    # prenex existential: every log-quantifier is in the leading E2log chain
+    prefix = 0
+    while type(f) is ExistsLog:
+        f = f.body
+        prefix += 1
     return Metrics(
-        mva=max(arities, default=0),
-        height=height(f),
-        lqr=lqr(f),
-        prenex_existential=_is_prenex_existential(f),
-        num_element_vars=len(element_variables(f)),
+        mva=mva,
+        height=top_k,
+        lqr=depth,
+        prenex_existential=prefix == log_quantifiers,
+        num_element_vars=len(elems),
     )

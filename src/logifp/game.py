@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .core import Relation, Structure, ceil_log, log_pow, mention_set, mention_union
+from .core import Structure, ceil_log, log_pow, mention_set, mention_union
 from .errors import HypothesisViolated, ResourceLimit, ShapeMismatch
 from .evaluate import enumerate_bounded_relations, evaluate
 from .formula import (
@@ -46,14 +46,10 @@ class ExpandedStructure:
     """A structure together with the relations added by relation moves."""
 
     base: Structure
-    extras: tuple = ()  # tuple of Relation
-
-    def key(self):
-        return (self.base, tuple((r.arity, r.tuples) for r in self.extras))
+    extras: tuple = ()  # tuple of (arity, frozenset of tuples) pairs
 
     def expanded(self, arity: int, tuples: frozenset) -> "ExpandedStructure":
-        extra = Relation(arity, frozenset(tuples), self.base.n)
-        return ExpandedStructure(self.base, self.extras + (extra,))
+        return ExpandedStructure(self.base, self.extras + ((arity, frozenset(tuples)),))
 
 
 @dataclass(frozen=True)
@@ -80,18 +76,10 @@ def is_partial_isomorphism(a: Structure, extras_a, elems_a,
         raise ShapeMismatch(f"{len(extras_a)} extra relations vs {len(extras_b)}")
     if a.sig != b.sig:
         raise ShapeMismatch("different signatures")
-    for ra, rb in zip(extras_a, extras_b):
-        if _arity(ra) != _arity(rb):
+    for (arity_a, _), (arity_b, _) in zip(extras_a, extras_b):
+        if arity_a != arity_b:
             raise ShapeMismatch("paired extra relations of different arities")
     return _pairs_ok(a, extras_a, b, extras_b, tuple(zip(elems_a, elems_b)))
-
-
-def _arity(r) -> int:
-    return r.arity if isinstance(r, Relation) else r[0]
-
-
-def _tuples(r) -> frozenset:
-    return r.tuples if isinstance(r, Relation) else r[1]
 
 
 def _pairs_ok(a: Structure, extras_a, b: Structure, extras_b, pairs) -> bool:
@@ -107,8 +95,7 @@ def _pairs_ok(a: Structure, extras_a, b: Structure, extras_b, pairs) -> bool:
                 if (x1 < x2) != (fwd[x1] < fwd[x2]):
                     return False
     paired = [(a.rels[name], b.rels[name], a.sig.arity(name)) for name in a.sig.names]
-    paired += [(_tuples(ra), _tuples(rb), _arity(ra))
-               for ra, rb in zip(extras_a, extras_b)]
+    paired += [(ta, tb, arity) for (arity, ta), (_, tb) in zip(extras_a, extras_b)]
     for ta, tb, arity in paired:
         for t in itertools.product(dom, repeat=arity):
             if (t in ta) != (tuple(fwd[c] for c in t) in tb):
@@ -201,7 +188,7 @@ class _Solver:
             raise ResourceLimit(f"node budget {self.budget} exceeded")
 
     def pebble(self, ea: ExpandedStructure, eb: ExpandedStructure) -> Winner:
-        key = (ea.key(), eb.key())
+        key = (ea, eb)
         hit = self.pebble_memo.get(key)
         if hit is None:
             self.charge(ea.base.n * eb.base.n)
@@ -244,7 +231,7 @@ class _Solver:
         """Winner with exactly `moves` relation moves left before PG^s."""
         if moves == 0:
             return self.pebble(ea, eb)
-        key = (ea.key(), eb.key(), moves)
+        key = (ea, eb, moves)
         hit = self.exact_memo.get(key)
         if hit is not None:
             return hit

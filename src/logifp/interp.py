@@ -20,6 +20,7 @@ from .errors import (
     EmptyUniverse,
     LogQuantifierUnsupported,
     NotLinearOrder,
+    ParseError,
     SignatureMismatch,
     UnsupportedTerm,
 )
@@ -42,12 +43,13 @@ from .formula import (
     Not,
     Or,
     Var,
+    _element_names,
     conj,
     disj,
-    element_variables,
     parse_formula,
     pretty,
     validate,
+    walk,
 )
 
 
@@ -155,38 +157,12 @@ class _Gensym:
 
 
 def _collect_names(f: Formula, out: set):
-    t = type(f)
-    if t is Atom:
-        out.add(f.name)
-        for x in f.args:
-            if type(x) is Var:
-                out.add(x.name)
-    elif t in (Eq, Less):
-        for x in (f.left, f.right):
-            if type(x) is Var:
-                out.add(x.name)
-    elif t is Bit:
-        for x in (f.value, f.index):
-            if type(x) is Var:
-                out.add(x.name)
-    elif t is Not:
-        _collect_names(f.body, out)
-    elif t in (And, Or, Implies):
-        _collect_names(f.left, out)
-        _collect_names(f.right, out)
-    elif t in (Exists, Forall):
-        out.add(f.var)
-        _collect_names(f.body, out)
-    elif t in (ExistsLog, ForallLog):
-        out.add(f.relvar)
-        _collect_names(f.body, out)
-    elif t is Ifp:
-        out.add(f.relvar)
-        out.update(f.vars)
-        for x in f.terms:
-            if type(x) is Var:
-                out.add(x.name)
-        _collect_names(f.body, out)
+    for g, _, _, _ in walk(f):
+        _element_names(g, out)
+        if type(g) is Atom:
+            out.add(g.name)
+        elif type(g) in (ExistsLog, ForallLog, Ifp):
+            out.add(g.relvar)
 
 
 def _rename(f: Formula, varmap: dict, gensym: _Gensym) -> Formula:
@@ -440,14 +416,19 @@ def interpretation_from_json(doc: dict) -> Interpretation:
         return Signature(tuple((n, int(a)) for n, a in d["relations"]),
                          bool(d.get("ordered", False)))
 
-    return Interpretation(
-        width=int(doc["width"]),
-        source=sig(doc["source"]),
-        target=sig(doc["target"]),
-        uni=parse_formula(doc["uni"]),
-        rels={name: parse_formula(text) for name, text in doc["rels"].items()},
-        less=parse_formula(doc["less"]) if "less" in doc else None,
-    )
+    try:
+        return Interpretation(
+            width=int(doc["width"]),
+            source=sig(doc["source"]),
+            target=sig(doc["target"]),
+            uni=parse_formula(doc["uni"]),
+            rels={name: parse_formula(text) for name, text in doc["rels"].items()},
+            less=parse_formula(doc["less"]) if "less" in doc else None,
+        )
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        raise ParseError(
+            f"malformed interpretation document: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def load_interpretation(path: str) -> Interpretation:

@@ -1,0 +1,289 @@
+"""Recursive reference implementations of validate, metrics,
+element_variables and interp._collect_names, and the position-loop lexer,
+as they stood before logifp.formula.walk and the one-pass lexer.  Kept as
+a differential oracle for tests/test_formula.py; metrics returns the
+fields of logifp.formula.Metrics as a plain tuple in declaration order."""
+
+import re
+
+from logifp.core import Signature
+from logifp.errors import (
+    ArityMismatch,
+    FormulaSyntaxError,
+    IfpShapeError,
+    OrderUsedUnordered,
+    UnknownRelation,
+)
+from logifp.formula import (
+    And,
+    Atom,
+    Bit,
+    Eq,
+    Exists,
+    ExistsLog,
+    Forall,
+    ForallLog,
+    Formula,
+    Ifp,
+    Implies,
+    Less,
+    Lit,
+    LogN,
+    Not,
+    Or,
+    Term,
+    Var,
+)
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<op>->|<-|[()\[\].,=<:!&|#]))"
+)
+
+
+def _tokenize(text: str):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            at = len(text) - len(stripped)
+            raise FormulaSyntaxError(at, "a token", text[at])
+        if m.lastgroup is None and m.group().strip() == "":
+            pos = m.end()
+            continue
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
+        pos = m.end()
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
+
+def validate(f: Formula, sig: Signature):
+    """Arity/order checks.  Returns (free element vars, {free relvar: arity})."""
+    free_elem: set[str] = set()
+    free_rel: dict[str, int] = {}
+
+    def term_check(t: Term, bound: frozenset):
+        if isinstance(t, Var):
+            if t.name not in bound:
+                free_elem.add(t.name)
+        elif isinstance(t, (Lit, LogN)):
+            if not sig.ordered:
+                raise OrderUsedUnordered(f"term {t} needs the built-in order")
+        else:
+            raise TypeError(f"not a term: {t!r}")
+
+    def relvar_seen(name: str, arity: int, bound_rel: dict):
+        declared = bound_rel.get(name, free_rel.get(name))
+        if declared is None:
+            free_rel[name] = arity
+        elif declared != arity:
+            raise ArityMismatch(f"relation variable {name} used with arities {declared} and {arity}")
+
+    def walk(g: Formula, bound: frozenset, bound_rel: dict):
+        t = type(g)
+        if t is Atom:
+            for a in g.args:
+                term_check(a, bound)
+            if sig.has(g.name):
+                if len(g.args) != sig.arity(g.name):
+                    raise ArityMismatch(
+                        f"{g.name} expects {sig.arity(g.name)} args, got {len(g.args)}"
+                    )
+            else:
+                relvar_seen(g.name, len(g.args), bound_rel)
+        elif t in (Eq, Less):
+            if t is Less and not sig.ordered:
+                raise OrderUsedUnordered("'<' used on an unordered signature")
+            term_check(g.left, bound)
+            term_check(g.right, bound)
+        elif t is Bit:
+            if not sig.ordered:
+                raise OrderUsedUnordered("BIT used on an unordered signature")
+            term_check(g.value, bound)
+            term_check(g.index, bound)
+        elif t is Not:
+            walk(g.body, bound, bound_rel)
+        elif t in (And, Or, Implies):
+            walk(g.left, bound, bound_rel)
+            walk(g.right, bound, bound_rel)
+        elif t in (Exists, Forall):
+            walk(g.body, bound | {g.var}, bound_rel)
+        elif t in (ExistsLog, ForallLog):
+            walk(g.body, bound, {**bound_rel, g.relvar: g.arity})
+        elif t is Ifp:
+            if len(g.vars) != len(g.terms):
+                raise IfpShapeError(
+                    f"ifp over {g.relvar}: {len(g.vars)} variables vs {len(g.terms)} terms"
+                )
+            if len(set(g.vars)) != len(g.vars):
+                raise IfpShapeError(f"ifp variables {g.vars} not distinct")
+            if sig.has(g.relvar):
+                raise UnknownRelation(f"ifp variable {g.relvar} shadows a signature relation")
+            for x in g.terms:
+                term_check(x, bound)
+            walk(g.body, bound | set(g.vars), {**bound_rel, g.relvar: len(g.vars)})
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+
+    walk(f, frozenset(), {})
+    for name in free_rel:
+        if sig.has(name):
+            raise UnknownRelation(name)
+    return frozenset(free_elem), dict(free_rel)
+
+
+def lqr(f: Formula) -> int:
+    t = type(f)
+    if t in (Atom, Eq, Less, Bit):
+        return 0
+    if t is Not:
+        return lqr(f.body)
+    if t in (And, Or, Implies):
+        return max(lqr(f.left), lqr(f.right))
+    if t in (Exists, Forall):
+        return lqr(f.body)
+    if t in (ExistsLog, ForallLog):
+        return lqr(f.body) + 1
+    if t is Ifp:
+        return lqr(f.body)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def height(f: Formula) -> int:
+    t = type(f)
+    if t in (Atom, Eq, Less, Bit):
+        return 0
+    if t is Not:
+        return height(f.body)
+    if t in (And, Or, Implies):
+        return max(height(f.left), height(f.right))
+    if t in (Exists, Forall):
+        return height(f.body)
+    if t in (ExistsLog, ForallLog):
+        return max(f.k, height(f.body))
+    if t is Ifp:
+        return height(f.body)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _has_log_quantifier(f: Formula) -> bool:
+    return height(f) > 0
+
+
+def _is_prenex_existential(f: Formula) -> bool:
+    while type(f) is ExistsLog:
+        f = f.body
+    return not _has_log_quantifier(f)
+
+
+def element_variables(f: Formula) -> frozenset:
+    out: set[str] = set()
+
+    def term(t):
+        if isinstance(t, Var):
+            out.add(t.name)
+
+    def walk(g):
+        t = type(g)
+        if t is Atom:
+            for a in g.args:
+                term(a)
+        elif t in (Eq, Less):
+            term(g.left)
+            term(g.right)
+        elif t is Bit:
+            term(g.value)
+            term(g.index)
+        elif t is Not:
+            walk(g.body)
+        elif t in (And, Or, Implies):
+            walk(g.left)
+            walk(g.right)
+        elif t in (Exists, Forall):
+            out.add(g.var)
+            walk(g.body)
+        elif t in (ExistsLog, ForallLog):
+            walk(g.body)
+        elif t is Ifp:
+            out.update(g.vars)
+            for x in g.terms:
+                term(x)
+            walk(g.body)
+
+    walk(f)
+    return frozenset(out)
+
+
+def metrics(f, sig=None) -> tuple:
+    """mva counts relation variables that are free or log-quantified;
+    names belonging to `sig` (when given) are relations, not variables."""
+    arities: list[int] = []
+
+    def is_sig(name):
+        return sig is not None and sig.has(name)
+
+    def walk(g, bound_rel: frozenset):
+        t = type(g)
+        if t is Atom:
+            if not is_sig(g.name) and g.name not in bound_rel:
+                arities.append(len(g.args))  # free relation variable
+        elif t is Not:
+            walk(g.body, bound_rel)
+        elif t in (And, Or, Implies):
+            walk(g.left, bound_rel)
+            walk(g.right, bound_rel)
+        elif t in (Exists, Forall):
+            walk(g.body, bound_rel)
+        elif t in (ExistsLog, ForallLog):
+            arities.append(g.arity)
+            walk(g.body, bound_rel | {g.relvar})
+        elif t is Ifp:
+            walk(g.body, bound_rel | {g.relvar})
+
+    walk(f, frozenset())
+    return (
+        max(arities, default=0),
+        height(f),
+        lqr(f),
+        _is_prenex_existential(f),
+        len(element_variables(f)),
+    )
+
+
+def _collect_names(f: Formula, out: set):
+    t = type(f)
+    if t is Atom:
+        out.add(f.name)
+        for x in f.args:
+            if type(x) is Var:
+                out.add(x.name)
+    elif t in (Eq, Less):
+        for x in (f.left, f.right):
+            if type(x) is Var:
+                out.add(x.name)
+    elif t is Bit:
+        for x in (f.value, f.index):
+            if type(x) is Var:
+                out.add(x.name)
+    elif t is Not:
+        _collect_names(f.body, out)
+    elif t in (And, Or, Implies):
+        _collect_names(f.left, out)
+        _collect_names(f.right, out)
+    elif t in (Exists, Forall):
+        out.add(f.var)
+        _collect_names(f.body, out)
+    elif t in (ExistsLog, ForallLog):
+        out.add(f.relvar)
+        _collect_names(f.body, out)
+    elif t is Ifp:
+        out.add(f.relvar)
+        out.update(f.vars)
+        for x in f.terms:
+            if type(x) is Var:
+                out.add(x.name)
+        _collect_names(f.body, out)

@@ -14,7 +14,6 @@ from logifp.core import (
     Structure,
     ceil_log,
     from_text,
-    make_structure,
     render,
 )
 from logifp.encode import dec_structure, enc_structure, j_encode, j_preimage
@@ -79,7 +78,7 @@ def test_03_structure_encoding_round_trip(capsys):
     pairs = list(itertools.product(range(4), repeat=2))
     for mask in range(1 << 16):
         edges = {pairs[i] for i in range(16) if mask >> i & 1}
-        a = make_structure(ORDERED_DIGRAPH, 4, {"E": edges})
+        a = Structure(ORDERED_DIGRAPH, 4, {"E": edges})
         if dec_structure(enc_structure(a), ORDERED_DIGRAPH) != a:
             ok = False
             break
@@ -87,7 +86,7 @@ def test_03_structure_encoding_round_trip(capsys):
     rng = random.Random(303)
     for _ in range(200):
         n = rng.randint(2, 8)
-        a = make_structure(sig, n, {
+        a = Structure(sig, n, {
             "E": {(rng.randrange(n), rng.randrange(n))
                   for _ in range(rng.randint(0, n * n))},
             "P": {(rng.randrange(n),) for _ in range(rng.randint(0, n))},
@@ -122,7 +121,7 @@ def test_04_fixed_point_matches_graph_search(capsys):
         n = rng.randint(1, 8)
         edges = {(rng.randrange(n), rng.randrange(n))
                  for _ in range(rng.randint(0, n * n // 2))}
-        a = make_structure(DIGRAPH, n, {"E": edges})
+        a = Structure(DIGRAPH, n, {"E": edges})
         if ifp_fixpoint(a, tc.body, tc.vars, tc.relvar) != \
                 frozenset(_reachability(n, edges)):
             ok = False
@@ -163,7 +162,7 @@ def test_05_backward_translation_fundamental_property(capsys):
             less=parse_formula(_LESS[w]),
         )
         n = rng.randint(2, 5)
-        a = make_structure(ORDERED_DIGRAPH, n, {
+        a = Structure(ORDERED_DIGRAPH, n, {
             "E": {(rng.randrange(n), rng.randrange(n))
                   for _ in range(rng.randint(0, n * n))}})
         try:
@@ -247,8 +246,8 @@ def test_08_even_separation_instance(capsys):
     params = GameParams(1, 1, 1, 1)
     sizes = even_instance(params)
     ok = sizes == (10, 11)
-    a = make_structure(DIGRAPH, 10, {})
-    b = make_structure(DIGRAPH, 11, {})
+    a = Structure(DIGRAPH, 10, {})
+    b = Structure(DIGRAPH, 11, {})
     winner, _ = game_winner(a, b, params)
     ok = ok and winner is Winner.DUPLICATOR
     ok = ok and verify_fresh_strategy(a, b, params) is True
@@ -262,12 +261,12 @@ def test_09_game_verdicts_consistent_with_sampled_sentences(capsys):
         n1 = rng.randint(1, 5)
         edges1 = {(rng.randrange(n1), rng.randrange(n1))
                   for _ in range(rng.randint(0, n1 * n1 // 2))}
-        a = make_structure(DIGRAPH, n1, {"E": edges1})
+        a = Structure(DIGRAPH, n1, {"E": edges1})
         if trial % 4 == 0:
             b = a
         else:
             n2 = rng.randint(1, 5)
-            b = make_structure(DIGRAPH, n2, {
+            b = Structure(DIGRAPH, n2, {
                 "E": {(rng.randrange(n2), rng.randrange(n2))
                       for _ in range(rng.randint(0, n2 * n2 // 2))}})
         params = GameParams(rng.randint(0, 1), rng.randint(1, 2), 1,
@@ -288,7 +287,7 @@ def test_10_pebble_game_sanity(capsys):
         cells = [(x, y) for x, y in pairs3 if x < n and y < n]
         for mask in range(1 << len(cells)):
             edges = {cells[i] for i in range(len(cells)) if mask >> i & 1}
-            ea = ExpandedStructure(make_structure(DIGRAPH, n, {"E": edges}))
+            ea = ExpandedStructure(Structure(DIGRAPH, n, {"E": edges}))
             for s in (1, 2, 3):
                 if pebble_game_winner(ea, ea, s)[0] is not Winner.DUPLICATOR:
                     ok = False
@@ -296,15 +295,15 @@ def test_10_pebble_game_sanity(capsys):
     cells4 = list(itertools.product(range(4), repeat=2))
     for _ in range(512):
         edges = {c for c in cells4 if rng.random() < 0.5}
-        ea = ExpandedStructure(make_structure(DIGRAPH, 4, {"E": edges}))
+        ea = ExpandedStructure(Structure(DIGRAPH, 4, {"E": edges}))
         for s in (1, 2, 3):
             if pebble_game_winner(ea, ea, s)[0] is not Winner.DUPLICATOR:
                 ok = False
-    e2 = ExpandedStructure(make_structure(DIGRAPH, 2, {}))
-    e3 = ExpandedStructure(make_structure(DIGRAPH, 3, {}))
+    e2 = ExpandedStructure(Structure(DIGRAPH, 2, {}))
+    e3 = ExpandedStructure(Structure(DIGRAPH, 3, {}))
     ok = ok and pebble_game_winner(e2, e3, 2)[0] is Winner.DUPLICATOR
     ok = ok and pebble_game_winner(e2, e3, 3)[0] is Winner.SPOILER
-    one_edge = ExpandedStructure(make_structure(DIGRAPH, 2, {"E": {(0, 1)}}))
+    one_edge = ExpandedStructure(Structure(DIGRAPH, 2, {"E": {(0, 1)}}))
     ok = ok and pebble_game_winner(one_edge, e2, 2)[0] is Winner.SPOILER
     _report(capsys, 10, "pebble game sanity battery", ok)
 
@@ -312,7 +311,7 @@ def test_10_pebble_game_sanity(capsys):
 def test_11_cli_golden_transcripts(tmp_path, capsys):
     from logifp.core import save_structure
 
-    g = make_structure(ORDERED_DIGRAPH, 3, {"E": {(0, 1), (1, 2)}})
+    g = Structure(ORDERED_DIGRAPH, 3, {"E": {(0, 1), (1, 2)}})
     graph = str(tmp_path / "g.json")
     save_structure(g, graph)
     commands = [

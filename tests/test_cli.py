@@ -5,7 +5,7 @@ import json
 import pytest
 
 from logifp import cli
-from logifp.core import Signature, make_structure, save_structure
+from logifp.core import Signature, Structure, save_structure
 
 ORDERED_DIGRAPH = Signature((("E", 2),), ordered=True)
 DIGRAPH = Signature((("E", 2),), ordered=False)
@@ -14,11 +14,11 @@ DIGRAPH = Signature((("E", 2),), ordered=False)
 @pytest.fixture
 def files(tmp_path):
     paths = {}
-    g = make_structure(ORDERED_DIGRAPH, 3, {"E": {(0, 1), (1, 2)}})
+    g = Structure(ORDERED_DIGRAPH, 3, {"E": {(0, 1), (1, 2)}})
     paths["graph"] = str(tmp_path / "g.json")
     save_structure(g, paths["graph"])
-    e2 = make_structure(DIGRAPH, 2, {})
-    e3 = make_structure(DIGRAPH, 3, {})
+    e2 = Structure(DIGRAPH, 2, {})
+    e3 = Structure(DIGRAPH, 3, {})
     paths["e2"] = str(tmp_path / "e2.json")
     paths["e3"] = str(tmp_path / "e3.json")
     save_structure(e2, paths["e2"])
@@ -143,9 +143,99 @@ def test_input_error_exit_code(files, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,doc,kind", [
+    (["eval", "--formula", "Ex. x=x", "--structure"], {"n": 3, "relations": {}}, "structure"),
+    (["eval", "--formula", "Ex. x=x", "--structure"], {"signature": [["E", 2]], "n": "x"},
+     "structure"),
+    (["check", "--formula", "x=x", "--sig"], {"ordered": True}, "signature"),
+    (["interp-transform", "--formula", "x=x", "--interp"], {"width": 1}, "interpretation"),
+])
+def test_malformed_document_exit_code(tmp_path, capsys, argv, doc, kind):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(argv + [str(path)], capsys)
+    assert code == 2 and out.startswith(f"error: ParseError: malformed {kind} document")
+
+
+def test_log_quantified_signature_name_exit_code(capsys):
+    code, out = run(["eval", "--string", "1111",
+                     "--formula", "E2log[1] P0:1 . Ex. P0(x)"], capsys)
+    assert code == 2 and "UnknownRelation" in out
+
+
+# formulas that together use all 13 node kinds and both constant terms, and
+# rejected ones, with the exit code and machine-format output of `check` on
+# the string signature
+CHECK_GOLDEN = [
+    ("E2log[2] X:2 . A2log[1] Y:1 . Ax. Ey. ((X(x,y) & !Y(x)) | x=0 -> BIT(y,x) & x<logn)", 0, [
+        "formula=E2log[2] X:2 . A2log[1] Y:1 . Ax. Ey. (((X(x,y) & !Y(x)) | x=0) -> (BIT(y,x) & x<logn))",
+        "free_element_vars=-",
+        "free_relation_vars=-",
+        "mva=2",
+        "height=2",
+        "lqr=2",
+        "prenex_existential=false",
+    ]),
+    ("ifp[Z(u,v) <- P1(u) & u<v | Ew.(Z(u,w) & Z(w,v))](x,1)", 0, [
+        "formula=ifp[Z(u,v) <- ((P1(u) & u<v) | (Ew. (Z(u,w) & Z(w,v))))](x,1)",
+        "free_element_vars=x",
+        "free_relation_vars=-",
+        "mva=0",
+        "height=0",
+        "lqr=0",
+        "prenex_existential=true",
+    ]),
+    ("!(E2log[1] X:1 . Ex. X(x)) | Q(y,z) -> Ay. PH(y)", 0, [
+        "formula=((!(E2log[1] X:1 . Ex. X(x)) | Q(y,z)) -> (Ay. PH(y)))",
+        "free_element_vars=y,z",
+        "free_relation_vars=Q:2",
+        "mva=2",
+        "height=1",
+        "lqr=1",
+        "prenex_existential=false",
+    ]),
+    ("A2log[3] X:1 . E2log[1] Y:3 . Ex. (X(x) -> Y(x,x,z))", 0, [
+        "formula=A2log[3] X:1 . E2log[1] Y:3 . Ex. (X(x) -> Y(x,x,z))",
+        "free_element_vars=z",
+        "free_relation_vars=-",
+        "mva=3",
+        "height=3",
+        "lqr=2",
+        "prenex_existential=false",
+    ]),
+    ("Ex. (E2log[1] X:1 . X(x)) & E2log[2] Y:2 . Y(x,x)", 0, [
+        "formula=Ex. ((E2log[1] X:1 . X(x)) & (E2log[2] Y:2 . Y(x,x)))",
+        "free_element_vars=-",
+        "free_relation_vars=-",
+        "mva=2",
+        "height=2",
+        "lqr=1",
+        "prenex_existential=false",
+    ]),
+    ("x @ y", 2, [
+        "error=FormulaSyntaxError: at position 2: expected a token, found '@'",
+    ]),
+    ("P0(x,y)", 2, [
+        "error=ArityMismatch: P0 expects 1 args, got 2",
+    ]),
+    ("ifp[P0(u) <- u=u](x)", 2, [
+        "error=UnknownRelation: ifp variable P0 shadows a signature relation",
+    ]),
+    ("Y(x) & Y(x,y)", 2, [
+        "error=ArityMismatch: relation variable Y used with arities 1 and 2",
+    ]),
+]
+
+
+@pytest.mark.parametrize("text,code,lines", CHECK_GOLDEN)
+def test_check_golden_output(text, code, lines, capsys):
+    assert run(["--format", "machine", "check", "--formula", text], capsys) == \
+        (code, "".join(line + "\n" for line in lines))
+
+
 def test_resource_limit_exit_code(tmp_path, capsys):
-    a = make_structure(DIGRAPH, 10, {})
-    b = make_structure(DIGRAPH, 11, {})
+    a = Structure(DIGRAPH, 10, {})
+    b = Structure(DIGRAPH, 11, {})
     pa, pb = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     save_structure(a, pa)
     save_structure(b, pb)

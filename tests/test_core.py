@@ -12,7 +12,6 @@ from logifp.core import (
     isomorphic,
     load_structure,
     log_pow,
-    make_structure,
     mention_set,
     mention_union,
     render,
@@ -93,11 +92,11 @@ def test_structure_validation():
 
 
 def test_structure_equality_and_defaults():
-    a = make_structure(DIGRAPH, 3, {"E": {(0, 1)}})
-    b = make_structure(DIGRAPH, 3, {"E": [(0, 1)]})
+    a = Structure(DIGRAPH, 3, {"E": {(0, 1)}})
+    b = Structure(DIGRAPH, 3, {"E": [(0, 1)]})
     assert a == b and hash(a) == hash(b)
     # every signature relation gets an (empty) entry
-    c = make_structure(DIGRAPH, 3, {})
+    c = Structure(DIGRAPH, 3, {})
     assert c.rels["E"] == frozenset()
     assert a != c
 
@@ -123,7 +122,7 @@ def test_string_structure_rejects_bad_input():
 
 
 def test_render_rejects_wrong_signature():
-    a = make_structure(DIGRAPH, 2, {})
+    a = Structure(DIGRAPH, 2, {})
     with pytest.raises(SignatureMismatch):
         render(a)
 
@@ -135,14 +134,14 @@ def test_isomorphic_ordered_strings_differ():
 
 
 def test_isomorphic_unordered_relabelling():
-    a = make_structure(DIGRAPH, 3, {"E": {(0, 1)}})
-    b = make_structure(DIGRAPH, 3, {"E": {(2, 0)}})
-    c = make_structure(DIGRAPH, 3, {"E": {(0, 1), (1, 0)}})
+    a = Structure(DIGRAPH, 3, {"E": {(0, 1)}})
+    b = Structure(DIGRAPH, 3, {"E": {(2, 0)}})
+    c = Structure(DIGRAPH, 3, {"E": {(0, 1), (1, 0)}})
     assert isomorphic(a, b)
     assert not isomorphic(a, c)
-    assert not isomorphic(a, make_structure(DIGRAPH, 2, {"E": {(0, 1)}}))
+    assert not isomorphic(a, Structure(DIGRAPH, 2, {"E": {(0, 1)}}))
     with pytest.raises(SignatureMismatch):
-        isomorphic(a, make_structure(ORDERED_DIGRAPH, 3, {}))
+        isomorphic(a, Structure(ORDERED_DIGRAPH, 3, {}))
 
 
 def test_relation_validation():
@@ -164,7 +163,7 @@ def test_mention_set_bound():
 
 
 def test_json_round_trip(tmp_path):
-    a = make_structure(ORDERED_DIGRAPH, 4, {"E": {(0, 1), (3, 2)}})
+    a = Structure(ORDERED_DIGRAPH, 4, {"E": {(0, 1), (3, 2)}})
     doc = structure_to_json(a)
     assert structure_from_json(doc) == a
     path = tmp_path / "a.json"

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from logifp.core import Signature, from_text, make_structure
+from logifp.core import Signature, Structure, from_text
 from logifp.encode import (
     concat_hash,
     dec_structure,
@@ -53,9 +53,9 @@ def test_enc_tuple_and_relation_sorted():
 
 
 def test_enc_structure_small_examples():
-    one_edge = make_structure(ORDERED_DIGRAPH, 2, {"E": {(0, 1)}})
+    one_edge = Structure(ORDERED_DIGRAPH, 2, {"E": {(0, 1)}})
     assert enc_structure(one_edge) == "[[[0][1]][[[0][1]]]]"
-    edgeless = make_structure(ORDERED_DIGRAPH, 2, {})
+    edgeless = Structure(ORDERED_DIGRAPH, 2, {})
     assert enc_structure(edgeless) == "[[[0][1]][]]"
 
 
@@ -65,7 +65,7 @@ def test_enc_structure_length_formula():
         n = rng.randint(2, 9)
         edges = {(rng.randrange(n), rng.randrange(n))
                  for _ in range(rng.randint(0, n))}
-        a = make_structure(ORDERED_DIGRAPH, n, {"E": edges})
+        a = Structure(ORDERED_DIGRAPH, n, {"E": edges})
         width = (n - 1).bit_length()
         cell = width + 2
         expected = 2 + (2 + n * cell) + (2 + len(edges) * (2 * cell + 2))
@@ -74,13 +74,13 @@ def test_enc_structure_length_formula():
 
 def test_enc_structure_preconditions():
     with pytest.raises(Unordered):
-        enc_structure(make_structure(Signature((("E", 2),)), 2, {}))
+        enc_structure(Structure(Signature((("E", 2),)), 2, {}))
     with pytest.raises(DomainTooSmall):
-        enc_structure(make_structure(ORDERED_DIGRAPH, 1, {}))
+        enc_structure(Structure(ORDERED_DIGRAPH, 1, {}))
 
 
 def test_dec_round_trip_path():
-    a = make_structure(ORDERED_DIGRAPH, 3, {"E": {(0, 1), (1, 2)}})
+    a = Structure(ORDERED_DIGRAPH, 3, {"E": {(0, 1), (1, 2)}})
     assert dec_structure(enc_structure(a), ORDERED_DIGRAPH) == a
 
 
@@ -89,7 +89,7 @@ def test_dec_round_trip_two_relation_signatures():
     rng = random.Random(2)
     for _ in range(40):
         n = rng.randint(2, 8)
-        a = make_structure(sig, n, {
+        a = Structure(sig, n, {
             "E": {(rng.randrange(n), rng.randrange(n))
                   for _ in range(rng.randint(0, n))},
             "P": {(rng.randrange(n),) for _ in range(rng.randint(0, n))},
@@ -98,7 +98,7 @@ def test_dec_round_trip_two_relation_signatures():
 
 
 def test_dec_rejects_corrupt_input():
-    good = enc_structure(make_structure(ORDERED_DIGRAPH, 2, {"E": {(0, 1)}}))
+    good = enc_structure(Structure(ORDERED_DIGRAPH, 2, {"E": {(0, 1)}}))
     for bad in (good[:-1], good + "]", good.replace("[1]", "[0]", 1),
                 "", "[]", "[[[0]][]]"):
         with pytest.raises((ParseError, ArityMismatch)):
@@ -117,7 +117,7 @@ def test_to_string_structure_is_injective_on_samples():
     seen = {}
     for _ in range(60):
         n = rng.randint(2, 5)
-        a = make_structure(ORDERED_DIGRAPH, n, {
+        a = Structure(ORDERED_DIGRAPH, n, {
             "E": {(rng.randrange(n), rng.randrange(n))
                   for _ in range(rng.randint(0, n))}})
         text = to_string_structure(a).text

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from logifp.core import Signature, from_text, make_structure
+from logifp.core import Signature, Structure, from_text
 from logifp.errors import (
     NotPrenex,
     OrderUsedUnordered,
@@ -27,7 +27,7 @@ ORDERED = Signature((("E", 2),), ordered=True)
 
 
 def digraph(n, edges, ordered=False):
-    return make_structure(ORDERED if ordered else DIGRAPH, n, {"E": edges})
+    return Structure(ORDERED if ordered else DIGRAPH, n, {"E": edges})
 
 
 def test_enumerate_bounded_relations_count():

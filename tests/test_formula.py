@@ -1,10 +1,11 @@
 """Parser, printer, validation and metrics."""
 
 import random
+from dataclasses import astuple
 
 import pytest
 
-from logifp.core import Signature
+from logifp.core import STR_SIG, Signature
 from logifp.formula import (
     And,
     Atom,
@@ -22,13 +23,17 @@ from logifp.formula import (
     Not,
     Or,
     Var,
+    _tokenize,
+    conj,
     element_variables,
     height,
     lqr,
     metrics,
     parse_formula,
     pretty,
+    terms,
     validate,
+    walk,
 )
 from logifp.errors import (
     ArityMismatch,
@@ -37,6 +42,9 @@ from logifp.errors import (
     OrderUsedUnordered,
     UnknownRelation,
 )
+from logifp.interp import _collect_names
+
+import formula_oracle
 
 DIGRAPH = Signature((("E", 2),), ordered=False)
 ORDERED = Signature((("E", 2), ("P", 1)), ordered=True)
@@ -238,3 +246,75 @@ def test_round_trip_on_random_asts():
     for _ in range(300):
         f = _random_formula(rng, rng.randint(1, 5))
         assert parse_formula(pretty(f)) == f
+
+
+def _outcome(fn, *args):
+    """The result of fn(*args), or the type of the exception it raised
+    (with the position and the offending text for a syntax error)."""
+    try:
+        return fn(*args)
+    except FormulaSyntaxError as exc:
+        return FormulaSyntaxError, exc.position, exc.found
+    except Exception as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("sig", [
+    DIGRAPH,
+    ORDERED,
+    Signature((("P", 1),), ordered=True),  # E is then a free relation variable
+])
+def test_walk_based_functions_agree_with_recursive_oracle(sig):
+    rng = random.Random(42)
+    for _ in range(300):
+        f = _random_formula(rng, rng.randint(1, 5))
+        assert _outcome(validate, f, sig) == _outcome(formula_oracle.validate, f, sig)
+        for s in (sig, None):
+            assert astuple(metrics(f, s)) == formula_oracle.metrics(f, s)
+        assert element_variables(f) == formula_oracle.element_variables(f)
+        names, oracle_names = set(), set()
+        _collect_names(f, names)
+        formula_oracle._collect_names(f, oracle_names)
+        assert names == oracle_names
+
+
+def test_tokenize_agrees_with_position_loop_lexer():
+    rng = random.Random(7)
+    alphabet = "Ex yA09_()[].,=<:!&|#-> \t\n@$%~\u00e9"
+    for _ in range(2000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        assert _outcome(_tokenize, text) == _outcome(formula_oracle._tokenize, text), text
+
+
+def test_walk_yields_binding_context_in_pre_order():
+    f = parse_formula("E2log[1] X:2 . Ex. (X(x,y) | !ifp[Y(u) <- Y(u) & u=x](y))")
+    visited = [(type(g).__name__, sorted(bound), rels, nlog)
+               for g, bound, rels, nlog in walk(f)]
+    assert visited == [
+        ("ExistsLog", [], {}, 0),
+        ("Exists", [], {"X": 2}, 1),
+        ("Atom", ["x"], {"X": 2}, 1),
+        ("Ifp", ["x"], {"X": 2}, 1),
+        ("Atom", ["u", "x"], {"X": 2, "Y": 1}, 1),
+        ("Eq", ["u", "x"], {"X": 2, "Y": 1}, 1),
+    ]
+    assert terms(f) == ()
+    assert terms(parse_formula("BIT(y,0)")) == (Var("y"), Lit(0))
+
+
+def test_deep_formula_does_not_hit_recursion_limit():
+    x = Var("x")
+    f = Exists("x", conj([Eq(x, x)] * 3000))
+    assert validate(f, STR_SIG) == (frozenset(), {})
+    m = metrics(f, STR_SIG)
+    assert (m.mva, m.height, m.lqr, m.num_element_vars) == (0, 0, 0, 1)
+    assert element_variables(f) == {"x"}
+
+
+@pytest.mark.parametrize("text", [
+    "E2log[1] P0:1 . Ex. P0(x)",
+    "A2log[1] P1:1 . Ex. P1(x)",
+])
+def test_log_quantified_variable_may_not_shadow_signature_relation(text):
+    with pytest.raises(UnknownRelation):
+        validate(parse_formula(text), STR_SIG)

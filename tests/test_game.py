@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from logifp.core import Signature, make_structure
+from logifp.core import Signature, Structure
 from logifp.errors import HypothesisViolated, ResourceLimit, ShapeMismatch
 from logifp.evaluate import evaluate
 from logifp.formula import validate
@@ -28,7 +28,7 @@ ORDERED_DIGRAPH = Signature((("E", 2),), ordered=True)
 
 
 def digraph(n, edges=(), ordered=False):
-    return make_structure(ORDERED_DIGRAPH if ordered else DIGRAPH, n,
+    return Structure(ORDERED_DIGRAPH if ordered else DIGRAPH, n,
                           {"E": set(edges)})
 
 

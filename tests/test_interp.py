@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from logifp.core import STR_SIG, Signature, Structure, from_text, make_structure, render
+from logifp.core import STR_SIG, Signature, Structure, from_text, render
 from logifp.encode import j_encode
 from logifp.errors import (
     EmptyUniverse,
@@ -69,7 +69,7 @@ def test_interpretation_validation():
 
 
 def test_pairing_universe_size():
-    a = make_structure(ORDERED_DIGRAPH, 2, {"E": {(0, 1)}})
+    a = Structure(ORDERED_DIGRAPH, 2, {"E": {(0, 1)}})
     b = apply_interpretation(pairing_interpretation(), a)
     assert b.n == 4
     # universe indices are the pairs in lexicographic order; F holds where
@@ -81,7 +81,7 @@ def test_pairing_universe_size():
 def test_apply_rejects_wrong_source():
     with pytest.raises(SignatureMismatch):
         apply_interpretation(pairing_interpretation(),
-                             make_structure(ORDERED_F, 2, {}))
+                             Structure(ORDERED_F, 2, {}))
 
 
 def test_apply_empty_universe():
@@ -90,7 +90,7 @@ def test_apply_empty_universe():
                        rels={"F": parse_formula("x1=x2")},
                        less=parse_formula("x1<x2"))
     with pytest.raises(EmptyUniverse):
-        apply_interpretation(i, make_structure(ORDERED_DIGRAPH, 2, {}))
+        apply_interpretation(i, Structure(ORDERED_DIGRAPH, 2, {}))
 
 
 def test_apply_rejects_non_linear_order():
@@ -99,7 +99,7 @@ def test_apply_rejects_non_linear_order():
                        rels={"F": parse_formula("x1=x2")},
                        less=parse_formula("x1=x1"))  # reflexive
     with pytest.raises(NotLinearOrder):
-        apply_interpretation(i, make_structure(ORDERED_DIGRAPH, 2, {}))
+        apply_interpretation(i, Structure(ORDERED_DIGRAPH, 2, {}))
 
 
 def test_transform_exists_shape():
@@ -151,7 +151,7 @@ def test_transform_fundamental_property():
     rng = random.Random(3)
     for _ in range(15):
         n = rng.randint(2, 4)
-        a = make_structure(ORDERED_DIGRAPH, n, {
+        a = Structure(ORDERED_DIGRAPH, n, {
             "E": {(rng.randrange(n), rng.randrange(n))
                   for _ in range(rng.randint(1, n * n))}})
         b = apply_interpretation(i, a)
@@ -163,7 +163,7 @@ def test_transform_fundamental_property():
 def test_transform_avoids_capture_under_shadowing():
     i = pairing_interpretation()
     f = parse_formula("Ex.(F(x,x) & Ex. F(x,x))")
-    a = make_structure(ORDERED_DIGRAPH, 2, {"E": {(0, 0)}})
+    a = Structure(ORDERED_DIGRAPH, 2, {"E": {(0, 0)}})
     assert evaluate(a, transform_formula(f, i)) == \
         evaluate(apply_interpretation(i, a), f)
 
@@ -230,5 +230,5 @@ def test_interpretation_json_round_trip():
     doc = interpretation_to_json(i)
     j = interpretation_from_json(doc)
     assert j.width == i.width and j.source == i.source and j.target == i.target
-    a = make_structure(ORDERED_DIGRAPH, 3, {"E": {(0, 1), (2, 2)}})
+    a = Structure(ORDERED_DIGRAPH, 3, {"E": {(0, 1), (2, 2)}})
     assert apply_interpretation(j, a) == apply_interpretation(i, a)
