@@ -4,7 +4,11 @@ second-order quantifiers by enumeration, and the guess-then-check runner.
 An assignment is a plain dict mapping element-variable names to domain
 indices and relation-variable names to frozensets of tuples; the two kinds
 never collide because element variables are lowercase and relation
-variables uppercase.
+variables uppercase.  The first fixed point met in one top-level call
+adds, under the non-string key _MEMO, the fixed points computed so far,
+keyed by the Ifp node and the values of the names its body reads from the
+assignment; every call copies the caller's dict, so the memo lives as long
+as that call.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ from .formula import (
     Or,
     Var,
     metrics,
+    terms,
+    walk,
 )
 
 __all__ = [
@@ -62,6 +68,7 @@ def enumerate_bounded_relations(n: int, arity: int, bound: int) -> Iterator[froz
 
 
 _MISSING = object()
+_MEMO = object()
 
 
 def _term_value(a: Structure, t, env: dict) -> int:
@@ -151,10 +158,31 @@ def _ev(a: Structure, f: Formula, env: dict) -> bool:
             else:
                 env[f.relvar] = old
     if t is Ifp:
-        fixed = ifp_fixpoint(a, f.body, f.vars, f.relvar, env)
+        memo = env.get(_MEMO)
+        if memo is None:
+            memo = env[_MEMO] = {}
+        reads = memo.get(f)
+        if reads is None:
+            reads = memo[f] = _ifp_reads(a, f)
+        key = (f, *[env.get(name, _MISSING) for name in reads])
+        fixed = memo.get(key)
+        if fixed is None:
+            fixed = memo[key] = ifp_fixpoint(a, f.body, f.vars, f.relvar, env)
         point = tuple(_term_value(a, x, env) for x in f.terms)
         return point in fixed
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _ifp_reads(a: Structure, f: Ifp) -> tuple:
+    """The names the body of `f` reads from the assignment: its free
+    element variables other than f.vars and its free relation variables
+    other than f.relvar and the relations of `a`."""
+    reads = set()
+    for g, bound, rels, _ in walk(f.body):
+        reads.update(x.name for x in terms(g) if type(x) is Var and x.name not in bound)
+        if type(g) is Atom and g.name not in rels and g.name not in a.rels:
+            reads.add(g.name)
+    return tuple(reads.difference(f.vars, (f.relvar,)))
 
 
 def ifp_fixpoint(a: Structure, body: Formula, vars: tuple, relvar: str,

@@ -79,93 +79,113 @@ def is_partial_isomorphism(a: Structure, extras_a, elems_a,
     for (arity_a, _), (arity_b, _) in zip(extras_a, extras_b):
         if arity_a != arity_b:
             raise ShapeMismatch("paired extra relations of different arities")
-    return _pairs_ok(a, extras_a, b, extras_b, tuple(zip(elems_a, elems_b)))
-
-
-def _pairs_ok(a: Structure, extras_a, b: Structure, extras_b, pairs) -> bool:
-    fwd: dict = {}
-    back: dict = {}
-    for x, y in pairs:
-        if fwd.setdefault(x, y) != y or back.setdefault(y, x) != x:
+    table = _pairing(a, extras_a, b, extras_b)
+    q = frozenset()
+    for pair in zip(elems_a, elems_b):
+        if not _extends(table, a.sig.ordered, q, *pair):
             return False
-    dom = sorted(fwd)
-    if a.sig.ordered:
-        for x1 in dom:
-            for x2 in dom:
-                if (x1 < x2) != (fwd[x1] < fwd[x2]):
-                    return False
-    paired = [(a.rels[name], b.rels[name], a.sig.arity(name)) for name in a.sig.names]
-    paired += [(ta, tb, arity) for (arity, ta), (_, tb) in zip(extras_a, extras_b)]
-    for ta, tb, arity in paired:
-        for t in itertools.product(dom, repeat=arity):
-            if (t in ta) != (tuple(fwd[c] for c in t) in tb):
+        q |= {pair}
+    return True
+
+
+def _pairing(a: Structure, extras_a, b: Structure, extras_b) -> tuple:
+    """(arity, tuples in a, tuples in b) for every signature relation and
+    every pair of extra relations."""
+    table = [(arity, a.rels[name], b.rels[name]) for name, arity in a.sig.relations]
+    table += [(arity, ta, tb) for (arity, ta), (_, tb) in zip(extras_a, extras_b)]
+    return tuple(table)
+
+
+def _extends(table, ordered: bool, q, x: int, y: int) -> bool:
+    """Whether q | {(x, y)} is a partial isomorphism, given that the pairs q
+    form one: only the new pair is tested, against the order on the pairs
+    of q and on the tuples that mention x."""
+    fwd = {x: y}
+    for x2, y2 in q:
+        if x2 == x or y2 == y:
+            return x2 == x and y2 == y
+        if ordered and (x2 < x) != (y2 < y):
+            return False
+        fwd[x2] = y2
+    for arity, ta, tb in table:
+        for t in itertools.product(fwd, repeat=arity):
+            if x in t and (t in ta) != (tuple(map(fwd.get, t)) in tb):
                 return False
     return True
 
 
-def _partial_isos(ea: ExpandedStructure, eb: ExpandedStructure, s: int) -> set:
-    """All partial isomorphisms of size <= s, as frozensets of pairs."""
-    a, b = ea.base, eb.base
-    singles = [
-        (x, y)
-        for x in range(a.n)
-        for y in range(b.n)
-        if _pairs_ok(a, ea.extras, b, eb.extras, ((x, y),))
-    ]
-    layers = {frozenset()}
+def _partial_isos(table, ordered: bool, na: int, nb: int, s: int) -> set:
+    """All partial isomorphisms of size <= s, as frozensets of pairs.  Each
+    one of size i + 1 is built once, from the one of size i without its
+    pair of largest left element."""
+    singles = [(x, y) for x in range(na) for y in range(nb)
+               if _extends(table, ordered, (), x, y)]
+    layer = [frozenset()]
     out = {frozenset()}
     for _ in range(s):
-        nxt = set()
-        for p in layers:
+        nxt = []
+        for p in layer:
+            top = max((x for x, _ in p), default=-1)
             for pair in singles:
-                if pair in p:
-                    continue
-                q = p | {pair}
-                if q in out:
-                    continue
-                if _pairs_ok(a, ea.extras, b, eb.extras, tuple(q)):
-                    nxt.add(q)
-        out |= nxt
-        layers = nxt
+                if pair[0] > top and _extends(table, ordered, p, *pair):
+                    nxt.append(p | {pair})
+        out.update(nxt)
+        layer = nxt
     return out
 
 
+def _challenges(p: frozenset, s: int):
+    """The challenges the position p answers.  A challenge (q, side, x) is
+    the spoiler placing a pebble on element x of side 0 (left) or 1
+    (right) from the reduced position q; p answers it when p = q | {pair}
+    for the pair of p that has x on that side."""
+    for pair in p:
+        q = p - {pair}
+        yield q, 0, pair[0]
+        yield q, 1, pair[1]
+        if len(p) < s:
+            yield p, 0, pair[0]
+            yield p, 1, pair[1]
+
+
 def pebble_game_winner(ea: ExpandedStructure, eb: ExpandedStructure, s: int):
-    """Solve the s-pebble game by eliminating positions from which some
-    spoiler placement or relocation has no surviving reply.
+    """Solve the s-pebble game: the surviving positions are the greatest
+    set of partial isomorphisms of size <= s in which every challenge from
+    every reduced position (the position itself if it has fewer than s
+    pairs, and the position less one pair) has a surviving reply.
+
+    Worklist algorithm for safety games: each challenge keeps a count of
+    its surviving replies; removing a position decrements the counts of
+    the challenges it answers, and a count reaching zero removes the
+    challenged position q and every position one pair larger than q.  Each
+    position is removed at most once, so the cost is linear in the number
+    of positions times (s + na + nb).
 
     Returns (winner, surviving positions).
     """
     if s < 1:
         raise ShapeMismatch(f"s = {s} < 1")
-    survivors = _partial_isos(ea, eb, s)
-    na, nb = ea.base.n, eb.base.n
-    changed = True
-    while changed:
-        changed = False
-        dead = []
-        for p in survivors:
-            reduced = [p] if len(p) < s else []
-            reduced += [p - {pair} for pair in p]
-            broken = False
-            for q in reduced:
-                for x in range(na):
-                    if not any(q | {(x, y)} in survivors for y in range(nb)):
-                        broken = True
-                        break
-                if broken:
-                    break
-                for y in range(nb):
-                    if not any(q | {(x, y)} in survivors for x in range(na)):
-                        broken = True
-                        break
-                if broken:
-                    break
-            if broken:
-                dead.append(p)
-        if dead:
-            survivors.difference_update(dead)
-            changed = True
+    a, b = ea.base, eb.base
+    table = _pairing(a, ea.extras, b, eb.extras)
+    survivors = _partial_isos(table, a.sig.ordered, a.n, b.n, s)
+    live: dict = {}
+    above: dict = {}
+    for p in survivors:
+        for c in _challenges(p, s):
+            live[c] = live.get(c, 0) + 1
+        for pair in p:
+            above.setdefault(p - {pair}, []).append(p)
+    broken = [q for q in survivors if len(q) < s and not all(
+        (q, side, x) in live for side, n in ((0, a.n), (1, b.n)) for x in range(n))]
+    while broken:
+        q = broken.pop()
+        for p in [q, *above.get(q, ())]:
+            if p in survivors:
+                survivors.remove(p)
+                for c in _challenges(p, s):
+                    live[c] -= 1
+                    if not live[c]:
+                        broken.append(c[0])
     winner = Winner.DUPLICATOR if frozenset() in survivors else Winner.SPOILER
     return winner, survivors
 
@@ -285,36 +305,6 @@ def game_winner(a: Structure, b: Structure, params: GameParams,
     return winner, solver.transcript
 
 
-def game_winner_stop_early(a: Structure, b: Structure, params: GameParams,
-                           budget: int = 10_000_000) -> Winner:
-    """Variant reading where the spoiler may stop the relation phase at any
-    point; used to check both readings have the same winner."""
-    solver = _Solver(params, budget)
-
-    def wins(ea, eb, moves_left) -> Winner:
-        if solver.pebble(ea, eb) is Winner.SPOILER:
-            return Winner.SPOILER
-        if moves_left == 0:
-            return Winner.DUPLICATOR
-        for side, arity, k, rel in solver.spoiler_moves(ea, eb):
-            solver.charge()
-            other = eb if side == "A" else ea
-            survived = False
-            for reply in solver.replies(other.base.n, arity, k, rel):
-                if side == "A":
-                    nxt = (ea.expanded(arity, rel), eb.expanded(arity, reply))
-                else:
-                    nxt = (ea.expanded(arity, reply), eb.expanded(arity, rel))
-                if wins(nxt[0], nxt[1], moves_left - 1) is Winner.DUPLICATOR:
-                    survived = True
-                    break
-            if not survived:
-                return Winner.SPOILER
-        return Winner.DUPLICATOR
-
-    return wins(ExpandedStructure(a), ExpandedStructure(b), params.m)
-
-
 # --- the EVEN instance and the fresh-element strategy ---
 
 
@@ -371,25 +361,30 @@ def verify_fresh_strategy(a: Structure, b: Structure, params: GameParams) -> boo
                     return y
             return None
 
+        table = _pairing(a, extras_a, b, extras_b)
+        expanded: set = set()
         seen: set = set()
         stack = [frozenset()]
         while stack:
             pos = stack.pop()
-            if pos in seen:
-                continue
-            seen.add(pos)
             reduced = [pos] if len(pos) < p.s else []
             reduced += [pos - {pair} for pair in pos]
             for q in reduced:
+                # respond is deterministic in (q, side, x): expand q once
+                if q in expanded:
+                    continue
+                expanded.add(q)
                 for side, limit in (("A", a.n), ("B", b.n)):
                     for x in range(limit):
                         y = respond(q, side, x)
                         if y is None:
                             return False
-                        nxt = q | ({(x, y)} if side == "A" else {(y, x)})
-                        if not _pairs_ok(a, extras_a, b, extras_b, tuple(nxt)):
+                        pair = (x, y) if side == "A" else (y, x)
+                        if not _extends(table, a.sig.ordered, q, *pair):
                             return False
+                        nxt = q | {pair}
                         if nxt not in seen:
+                            seen.add(nxt)
                             stack.append(nxt)
         return True
 

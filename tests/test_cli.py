@@ -227,6 +227,32 @@ CHECK_GOLDEN = [
 ]
 
 
+# recorded from the elimination-loop pebble solver
+GAME_GOLDEN = [
+    (["even-demo", "--m", "1", "--r", "1", "--k", "1", "--s", "1"],
+     ["n_a: 10", "n_b: 11", "winner: Duplicator", "nodes: 62878",
+      "fresh_strategy_verified: true"]),
+    (["even-demo", "--m", "0", "--r", "1", "--k", "1", "--s", "2"],
+     ["n_a: 10", "n_b: 11", "winner: Duplicator", "nodes: 110",
+      "fresh_strategy_verified: true"]),
+    (["pebble", "--a", "e2", "--b", "e3", "--s", "2"],
+     ["winner: Duplicator", "surviving_positions: 13"]),
+    (["pebble", "--a", "e2", "--b", "e3", "--s", "3"],
+     ["winner: Spoiler", "surviving_positions: 0"]),
+    (["pebble", "--a", "graph", "--b", "graph", "--s", "2"],
+     ["winner: Duplicator", "surviving_positions: 7"]),
+    (["game", "--a", "e2", "--b", "e3", "--m", "1", "--r", "1", "--k", "1", "--s", "1",
+      "--sample", "10", "--seed", "3"],
+     ["winner: Duplicator", "sampled: 10", "distinguishing: 0", "nodes: 76"]),
+]
+
+
+@pytest.mark.parametrize("argv,lines", GAME_GOLDEN)
+def test_game_golden_output(argv, lines, files, capsys):
+    argv = [files.get(arg, arg) for arg in argv]
+    assert run(argv, capsys) == (0, "".join(line + "\n" for line in lines))
+
+
 @pytest.mark.parametrize("text,code,lines", CHECK_GOLDEN)
 def test_check_golden_output(text, code, lines, capsys):
     assert run(["--format", "machine", "check", "--formula", text], capsys) == \

@@ -1,11 +1,12 @@
 """Model checking: FO, fixed points, log-quantifiers, and the two
 string-based evaluation paths."""
 
+import importlib
 import random
 
 import pytest
 
-from logifp.core import Signature, Structure, from_text
+from logifp.core import Signature, Structure, from_text, log_pow
 from logifp.errors import (
     NotPrenex,
     OrderUsedUnordered,
@@ -155,6 +156,81 @@ def test_ifp_respects_parameters():
     f = parse_formula("ifp[Y(v) <- E(x,v) | Ez.(Y(z) & E(z,v))](y)")
     assert evaluate(a, f, {"x": 0, "y": 2})
     assert not evaluate(a, f, {"x": 1, "y": 1})
+
+
+def _random_digraph(rng, n):
+    return {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n * n // 2))}
+
+
+REACH_FROM_X = "ifp[Y(v) <- E(x,v) | Ez.(Y(z) & E(z,v))]"
+
+
+def test_ifp_memo_keys_on_outer_element_variable(monkeypatch):
+    ev = importlib.import_module("logifp.evaluate")  # the package rebinds the name
+    calls = []
+    original = ev.ifp_fixpoint
+    monkeypatch.setattr(ev, "ifp_fixpoint", lambda *args: calls.append(1) or original(*args))
+    every = parse_formula(f"Ax.Ey.{REACH_FROM_X}(y)")
+    some = parse_formula(f"Ex.Ay.({REACH_FROM_X}(y) | x=y)")
+    reach = every.body.body
+    rng = random.Random(11)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        a = digraph(n, _random_digraph(rng, n))
+        fixed = [original(a, reach.body, reach.vars, reach.relvar, {"x": x}) for x in range(n)]
+        calls.clear()
+        assert evaluate(a, every) == all(any((y,) in fixed[x] for y in range(n))
+                                         for x in range(n))
+        assert len(calls) <= n
+        assert evaluate(a, some) == any(all((y,) in fixed[x] or x == y for y in range(n))
+                                        for x in range(n))
+    # a body that reads neither x nor y is computed once, not n * n times
+    calls.clear()
+    closure = parse_formula("Ax.Ay.(ifp[Y(u,v) <- E(u,v) | Ez.(E(u,z) & Y(z,v))](x,y)"
+                            " -> Ez.E(x,z))")
+    assert evaluate(digraph(4, {(0, 1), (1, 2), (3, 3)}), closure)
+    assert len(calls) == 1
+
+
+def test_ifp_memo_keys_on_log_quantified_relation():
+    f = parse_formula("E2log[1] X:2 . Ax.Ay.(E(x,y) -> "
+                      "ifp[Y(u,v) <- X(u,v) | Ez.(X(u,z) & Y(z,v))](x,y))")
+    closure = f.body.body.body.right
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(25):
+        n = rng.randint(1, 4)
+        edges = _random_digraph(rng, n)
+        a = digraph(n, edges)
+        expected = any(
+            edges <= ifp_fixpoint(a, closure.body, closure.vars, closure.relvar, {"X": rel})
+            for rel in enumerate_bounded_relations(n, 2, log_pow(n, 1)))
+        assert evaluate(a, f) == expected
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_nested_ifp_memo_keys_on_outer_stage():
+    # Y: the sources, then everything E-reachable from Y (the inner Z)
+    inner = "ifp[Z(v) <- Y(v) | Ez.(Z(z) & E(z,v))](u)"
+    outer = parse_formula(f"ifp[Y(u) <- {inner} | Aw.!E(w,u)](x)")
+    z = outer.body.left
+    rng = random.Random(13)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        edges = _random_digraph(rng, n)
+        a = digraph(n, edges)
+        stage = frozenset()
+        while True:
+            added = {(u,) for u in range(n)
+                     if (u,) in ifp_fixpoint(a, z.body, z.vars, z.relvar, {"Y": stage, "u": u})
+                     or not any(v == u for _, v in edges)}
+            if added <= stage:
+                break
+            stage |= added
+        assert ifp_fixpoint(a, outer.body, outer.vars, outer.relvar) == stage
+        assert [evaluate(a, outer, {"x": x}) for x in range(n)] == \
+            [(x,) in stage for x in range(n)]
 
 
 def test_bitstring_path_example():

@@ -4,7 +4,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import game_oracle
+from game_oracle import game_winner_stop_early
 from logifp.core import Signature, Structure
 from logifp.errors import HypothesisViolated, ResourceLimit, ShapeMismatch
 from logifp.evaluate import evaluate
@@ -16,7 +20,6 @@ from logifp.game import (
     equivalence_sampler,
     even_instance,
     game_winner,
-    game_winner_stop_early,
     is_partial_isomorphism,
     pebble_game_winner,
     sample_sentence,
@@ -224,3 +227,109 @@ def test_sampler_reports_are_deterministic():
     r2 = equivalence_sampler(a, b, GameParams(0, 1, 1, 2), trials=50, seed=9)
     assert r1.distinguishing == r2.distinguishing
     assert r1.winner is r2.winner
+
+
+# --- differential tests against tests/game_oracle.py ---
+
+SIGNATURES = (DIGRAPH, ORDERED_DIGRAPH,
+              Signature((("E", 2), ("P", 1)), ordered=True),
+              Signature((("P", 1),), ordered=False))
+
+
+def _random_structure(rng, sig, n):
+    rels = {}
+    for name, arity in sig.relations:
+        cells = list(itertools.product(range(n), repeat=arity))
+        rels[name] = {t for t in cells if rng.random() < 0.35}
+    return Structure(sig, n, rels)
+
+
+def _random_extras(rng, n_a, n_b):
+    """Paired extra relations of arity 1 or 2, as relation moves add them."""
+    extras_a, extras_b = [], []
+    for _ in range(rng.randint(0, 2)):
+        arity = rng.randint(1, 2)
+        for n, out in ((n_a, extras_a), (n_b, extras_b)):
+            cells = list(itertools.product(range(n), repeat=arity))
+            out.append((arity, frozenset(t for t in cells if rng.random() < 0.3)))
+    return tuple(extras_a), tuple(extras_b)
+
+
+def _random_pair(rng):
+    sig = rng.choice(SIGNATURES)
+    n_a, n_b = rng.randint(1, 4), rng.randint(1, 4)
+    a, b = _random_structure(rng, sig, n_a), _random_structure(rng, sig, n_b)
+    if rng.random() < 0.3:
+        b = a  # a self-game, which the duplicator wins
+        n_b = n_a
+    extras_a, extras_b = _random_extras(rng, n_a, n_b)
+    return ExpandedStructure(a, extras_a), ExpandedStructure(b, extras_b)
+
+
+def test_pebble_solver_matches_elimination_oracle():
+    rng = random.Random(21)
+    winners = set()
+    for _ in range(120):
+        ea, eb = _random_pair(rng)
+        for s in (1, 2, 3):
+            got = pebble_game_winner(ea, eb, s)
+            assert got == game_oracle.pebble_game_winner(ea, eb, s)
+            winners.add(got[0])
+    assert winners == {Winner.DUPLICATOR, Winner.SPOILER}
+
+
+def test_partial_isomorphism_matches_oracle():
+    rng = random.Random(22)
+    verdicts = set()
+    for _ in range(600):
+        ea, eb = _random_pair(rng)
+        a, b = ea.base, eb.base
+        size = rng.randint(0, 4)
+        elems_a = tuple(rng.randrange(a.n) for _ in range(size))
+        elems_b = tuple(rng.randrange(b.n) for _ in range(size))
+        got = is_partial_isomorphism(a, ea.extras, elems_a, b, eb.extras, elems_b)
+        assert got == game_oracle.is_partial_isomorphism(
+            a, ea.extras, elems_a, b, eb.extras, elems_b)
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("params,sizes", [
+    ((0, 1, 1, 1), (6, 7)), ((0, 1, 1, 1), (7, 6)), ((0, 1, 1, 2), (7, 8)),
+])
+def test_fresh_strategy_matches_oracle(params, sizes):
+    a, b = digraph(sizes[0]), digraph(sizes[1])
+    p = GameParams(*params)
+    assert verify_fresh_strategy(a, b, p) is game_oracle.verify_fresh_strategy(a, b, p) is True
+
+
+# --- properties: swapping the two structures ---
+
+
+@st.composite
+def digraph_pairs(draw, max_n):
+    ordered = draw(st.booleans())
+    out = []
+    for _ in range(2):
+        n = draw(st.integers(1, max_n))
+        cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        out.append(digraph(n, draw(st.sets(cells, max_size=n * n)), ordered))
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(digraph_pairs(4), st.integers(1, 3))
+def test_pebble_game_is_symmetric(pair, s):
+    ea, eb = (ExpandedStructure(x) for x in pair)
+    winner, survivors = pebble_game_winner(ea, eb, s)
+    winner_swapped, survivors_swapped = pebble_game_winner(eb, ea, s)
+    assert winner is winner_swapped
+    assert survivors_swapped == {frozenset((y, x) for x, y in p) for p in survivors}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(digraph_pairs(3), st.integers(0, 1), st.integers(1, 2))
+def test_relation_move_game_is_symmetric(pair, m, s):
+    a, b = pair
+    params = GameParams(m, 1, 1, s)
+    assert game_winner(a, b, params)[0] is game_winner(b, a, params)[0]
