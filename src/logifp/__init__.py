@@ -3,7 +3,6 @@ quantifiers, structure/relation encodings, interpretations, and pebble
 games with relation moves."""
 
 from .core import (
-    Relation,
     Signature,
     StringStructure,
     Structure,

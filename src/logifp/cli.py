@@ -52,7 +52,7 @@ class _Output:
 
 
 def _load_formula(args) -> formula.Formula:
-    if getattr(args, "formula_file", None):
+    if args.formula_file is not None:
         with open(args.formula_file, "r", encoding="utf-8") as fh:
             text = fh.read().strip()
     else:
@@ -61,16 +61,17 @@ def _load_formula(args) -> formula.Formula:
 
 
 def _load_input_structure(args) -> core.Structure:
-    if getattr(args, "string", None):
+    if args.string is not None:
         return core.from_text(args.string)
     return core.load_structure(args.structure)
 
 
 def _parse_tuples(text: str) -> list:
-    tuples = []
-    for group in re.findall(r"\(([^)]*)\)", text):
-        tuples.append(tuple(int(p) for p in group.split(",") if p.strip() != ""))
-    return tuples
+    try:
+        return [tuple(int(p) for p in group.split(",") if p.strip() != "")
+                for group in re.findall(r"\(([^)]*)\)", text)]
+    except ValueError as exc:
+        raise ParseError(f"bad tuple list {text!r}: {exc}") from exc
 
 
 def _sig_from_file(path: str) -> core.Signature:
@@ -185,7 +186,7 @@ def run_command(argv) -> int:
     out = _Output(args.format == "machine")
     try:
         return _dispatch(args, out)
-    except ResourceLimit as exc:
+    except (ResourceLimit, RecursionError) as exc:
         out.emit("error", f"resource limit: {exc}")
         return 3
     except (LogifpError, OSError, json.JSONDecodeError) as exc:

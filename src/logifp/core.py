@@ -8,6 +8,7 @@ the opening/closing encoding brackets.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -165,12 +166,6 @@ def render(u: Structure) -> str:
     return "".join(chars)
 
 
-def _permutations(n: int):
-    import itertools
-
-    return itertools.permutations(range(n))
-
-
 def isomorphic(a: Structure, b: Structure) -> bool:
     """Exhaustive isomorphism test; intended for small domains (n <= ~8)."""
     if a.sig != b.sig:
@@ -180,7 +175,7 @@ def isomorphic(a: Structure, b: Structure) -> bool:
     if a.sig.ordered:
         # the only order-preserving bijection on [n] is the identity
         return a == b
-    for perm in _permutations(a.n):
+    for perm in itertools.permutations(range(a.n)):
         if all(
             frozenset(tuple(perm[c] for c in t) for t in a.rels[name]) == b.rels[name]
             for name in a.sig.names
@@ -189,35 +184,9 @@ def isomorphic(a: Structure, b: Structure) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class Relation:
-    """A set of equal-length tuples over a stated domain size."""
-
-    arity: int
-    tuples: frozenset
-    domain_size: int
-
-    def __post_init__(self):
-        for t in self.tuples:
-            if len(t) != self.arity:
-                raise ArityMismatch(f"tuple {t} does not have arity {self.arity}")
-            for comp in t:
-                if not (0 <= comp < self.domain_size):
-                    raise OutOfRange(f"component {comp} not in [0,{self.domain_size})")
-
-
 def mention_set(tuples: Iterable[tuple]) -> frozenset:
     """Elements occurring as a component of some tuple."""
-    if isinstance(tuples, Relation):
-        tuples = tuples.tuples
     return frozenset(c for t in tuples for c in t)
-
-
-def mention_union(relations: Iterable) -> frozenset:
-    out: set = set()
-    for r in relations:
-        out |= mention_set(r)
-    return frozenset(out)
 
 
 # --- JSON structure files ---

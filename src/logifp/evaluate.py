@@ -223,29 +223,17 @@ def _log_prefix(f: Formula):
 
 
 def _j_fiber(n: int, z: str, chunk_width: int) -> Iterator[frozenset]:
-    """All arity-2 relations whose lexicographic J-image is exactly `z`."""
-    from .encode import j_encode
-
-    count = len(z) // chunk_width
-    lows = [
-        int(z[j * chunk_width:(j + 1) * chunk_width][::-1], 2)
-        for j in range(count)
-    ]
-    if count == 0:
-        yield frozenset()
-        return
-    seen = set()
-    for firsts in itertools.product(range(n), repeat=count):
-        for tops in itertools.product((0, 1), repeat=count):
-            seconds = [low + top * (1 << chunk_width) for low, top in zip(lows, tops)]
-            if any(b >= n for b in seconds):
-                continue
-            rel = frozenset(zip(firsts, seconds))
-            if rel in seen:
-                continue
-            seen.add(rel)
-            if j_encode(n, rel) == z:
-                yield rel
+    """All arity-2 relations whose lexicographic J-image is exactly `z`:
+    one tuple (x, y) per chunk, y being the chunk's bits with the top bit
+    J drops either clear or set, the tuples strictly increasing."""
+    columns = []
+    for j in range(0, len(z), chunk_width):
+        low = int(z[j:j + chunk_width][::-1], 2)
+        columns.append([(x, y) for x in range(n)
+                        for y in (low, low | 1 << chunk_width) if y < n])
+    for seq in itertools.product(*columns):
+        if all(s < t for s, t in zip(seq, seq[1:])):
+            yield frozenset(seq)
 
 
 def evaluate_via_bitstrings(u: StringStructure, f: Formula) -> bool:
@@ -288,6 +276,8 @@ def gc_check(u: StringStructure, k: int, c: int,
              checker: Callable[[StringStructure], bool]):
     """Guess-then-check: search v in {0,1}* with |v| <= c * ceil_log(|u|)**k
     in length-then-lex order; returns (True, first witness) or (False, None)."""
+    if k < 0:
+        raise UnsupportedShape(f"exponent k = {k} < 0")
     bound = c * log_pow(u.n, k)
     for length in range(bound + 1):
         for bits in itertools.product("01", repeat=length):

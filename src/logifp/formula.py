@@ -275,7 +275,14 @@ def _pp(f: Formula, operand: bool) -> str:
             return "!" + _pp(inner, True)
         return "!(" + _pp(inner, False) + ")"
     if t in _BINARY:
-        return f"({_pp(f.left, True)} {_BINARY[t]} {_pp(f.right, True)})"
+        if type(f.left) not in _BINARY:
+            return f"({_pp(f.left, True)} {_BINARY[t]} {_pp(f.right, True)})"
+        # a left-nested chain such as conj builds: one loop, not a frame per link
+        closes = []
+        while type(f) in _BINARY:
+            closes.append(f" {_BINARY[type(f)]} {_pp(f.right, True)})")
+            f = f.left
+        return "(" * len(closes) + _pp(f, True) + "".join(reversed(closes))
     if t is Exists:
         s = f"E{f.var}. {_pp(f.body, False)}"
     elif t is Forall:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .core import Structure, ceil_log, log_pow, mention_set, mention_union
+from .core import Structure, ceil_log, log_pow, mention_set
 from .errors import HypothesisViolated, ResourceLimit, ShapeMismatch
 from .evaluate import enumerate_bounded_relations, evaluate
 from .formula import (
@@ -341,19 +341,18 @@ def verify_fresh_strategy(a: Structure, b: Structure, params: GameParams) -> boo
             f"need (m+1)*r*s*ceil_log({a.n})**k < {a.n} and equal ceil_log"
         )
 
+    # fwd maps every element the extras mention on A to its image on B, so
+    # its keys and values are the mentioned elements of the two sides
     def pebble_phase(extras_a, extras_b, fwd: dict) -> bool:
         back = {v: k for k, v in fwd.items()}
-        mentioned_a = mention_union([ts for _, ts in extras_a])
-        mentioned_b = mention_union([ts for _, ts in extras_b])
 
         def respond(pos: frozenset, side: str, x: int) -> Optional[int]:
             here = dict(pos) if side == "A" else {y: z for z, y in pos}
             if x in here:
                 return here[x]
-            book = fwd if side == "A" else back
+            book, mentioned = (fwd, back) if side == "A" else (back, fwd)
             if x in book:
                 return book[x]
-            mentioned = mentioned_b if side == "A" else mentioned_a
             taken = {y for _, y in pos} if side == "A" else {z for z, _ in pos}
             limit = b.n if side == "A" else a.n
             for y in range(limit):
@@ -394,30 +393,21 @@ def verify_fresh_strategy(a: Structure, b: Structure, params: GameParams) -> boo
             return False
         if moves_left == 0:
             return True
-        mentioned_a = mention_union([ts for _, ts in extras_a])
-        mentioned_b = mention_union([ts for _, ts in extras_b])
         for arity in range(1, p.r + 1):
             for k in range(1, p.k + 1):
                 for side in ("A", "B"):
                     n_here = a.n if side == "A" else b.n
                     for rel in enumerate_bounded_relations(n_here, arity, log_pow(n_here, k)):
                         book = dict(fwd) if side == "A" else {v: k2 for k2, v in fwd.items()}
-                        mentioned_other = mentioned_b if side == "A" else mentioned_a
                         n_other = b.n if side == "A" else a.n
-                        free = iter(
-                            y for y in range(n_other)
-                            if y not in mentioned_other and y not in set(book.values())
-                        )
-                        ok = True
+                        taken = set(book.values())
+                        free = (y for y in range(n_other) if y not in taken)
                         for x in sorted(mention_set(rel)):
                             if x not in book:
                                 y = next(free, None)
                                 if y is None:
-                                    ok = False
-                                    break
+                                    return False
                                 book[x] = y
-                        if not ok:
-                            return False
                         image = frozenset(tuple(book[c] for c in t) for t in rel)
                         if side == "A":
                             fwd2 = book

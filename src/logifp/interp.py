@@ -94,26 +94,23 @@ class Interpretation:
             raise SignatureMismatch(f"formula for {label} has free relation variables {free_rel}")
 
 
-def _bind(names, values):
-    return dict(zip(names, values))
-
-
 def apply_interpretation(i: Interpretation, a: Structure) -> Structure:
     """Universe = satisfying w-tuples (sorted by the order formula when
     present, lexicographically otherwise), re-indexed from 0."""
     if a.sig != i.source:
         raise SignatureMismatch("structure is not over the interpretation's source signature")
     w = i.width
+    names = canon_vars(w)
     universe = [
         t for t in itertools.product(range(a.n), repeat=w)
-        if evaluate(a, i.uni, _bind(canon_vars(w), t))
+        if evaluate(a, i.uni, dict(zip(names, t)))
     ]
     if not universe:
         raise EmptyUniverse("no tuple satisfies the universe formula")
     if i.less is not None:
         names = canon_vars(2 * w)
         less = {
-            (t, u): evaluate(a, i.less, _bind(names, t + u))
+            (t, u): evaluate(a, i.less, dict(zip(names, t + u)))
             for t in universe
             for u in universe
         }
@@ -136,7 +133,7 @@ def apply_interpretation(i: Interpretation, a: Structure) -> Structure:
         hits = set()
         for combo in itertools.product(universe, repeat=arity):
             flat = tuple(c for t in combo for c in t)
-            if evaluate(a, f, _bind(names, flat)):
+            if evaluate(a, f, dict(zip(names, flat))):
                 hits.add(tuple(index[t] for t in combo))
         rels[name] = hits
     return Structure(i.target, len(universe), rels)
@@ -222,85 +219,71 @@ def transform_formula(f: Formula, i: Interpretation) -> Formula:
         _collect_names(i.less, used)
     gensym = _Gensym(used)
 
-    elem_map: dict[str, tuple[str, ...]] = {}
-    rel_map: dict[str, str] = {}
+    # first uses of free names; bound names travel down the walk
+    free_elems: dict[str, tuple[str, ...]] = {}
+    free_rels: dict[str, str] = {}
 
-    def tuple_of(x) -> tuple[str, ...]:
+    def fresh_tuple(var: str) -> tuple[str, ...]:
+        return tuple(gensym.fresh(f"{var}_") for _ in range(w))
+
+    def tuple_of(x, elems: dict) -> tuple[str, ...]:
         if type(x) is not Var:
             raise UnsupportedTerm(f"term {x} cannot be widened to a tuple")
-        if x.name not in elem_map:
-            elem_map[x.name] = tuple(gensym.fresh(f"{x.name}_") for _ in range(w))
-        return elem_map[x.name]
+        names = elems.get(x.name) or free_elems.get(x.name)
+        if names is None:
+            names = free_elems[x.name] = fresh_tuple(x.name)
+        return names
 
     def uni_at(names: tuple[str, ...]) -> Formula:
         return _rename(i.uni, dict(zip(canon_vars(w), names)), gensym)
 
-    def walk(g: Formula) -> Formula:
+    def walk(g: Formula, elems: dict, rels: dict) -> Formula:
         t = type(g)
         if t is Atom:
-            flat = tuple(n for x in g.args for n in tuple_of(x))
+            flat = tuple(n for x in g.args for n in tuple_of(x, elems))
             if g.name in i.rels:
                 params = canon_vars(len(g.args) * w)
                 return _rename(i.rels[g.name], dict(zip(params, flat)), gensym)
-            widened = rel_map.get(g.name)
+            widened = rels.get(g.name) or free_rels.get(g.name)
             if widened is None:
-                widened = rel_map[g.name] = gensym.fresh(g.name)
+                widened = free_rels[g.name] = gensym.fresh(g.name)
             return Atom(widened, tuple(Var(n) for n in flat))
         if t is Eq:
-            lt, rt = tuple_of(g.left), tuple_of(g.right)
+            lt, rt = tuple_of(g.left, elems), tuple_of(g.right, elems)
             return conj(Eq(Var(a), Var(b)) for a, b in zip(lt, rt))
         if t is Less:
             if i.less is None:
                 raise UnsupportedTerm("'<' in the source formula but no order formula")
-            flat = tuple_of(g.left) + tuple_of(g.right)
+            flat = tuple_of(g.left, elems) + tuple_of(g.right, elems)
             return _rename(i.less, dict(zip(canon_vars(2 * w), flat)), gensym)
         if t is Bit:
             raise UnsupportedTerm("BIT does not translate through an interpretation")
         if t is Not:
-            return Not(walk(g.body))
+            return Not(walk(g.body, elems, rels))
         if t in (And, Or, Implies):
-            return t(walk(g.left), walk(g.right))
+            return t(walk(g.left, elems, rels), walk(g.right, elems, rels))
         if t in (Exists, Forall):
-            saved = elem_map.get(g.var)
-            names = elem_map[g.var] = tuple(gensym.fresh(f"{g.var}_") for _ in range(w))
-            body = walk(g.body)
-            if saved is None:
-                del elem_map[g.var]
-            else:
-                elem_map[g.var] = saved
+            names = fresh_tuple(g.var)
+            body = walk(g.body, {**elems, g.var: names}, rels)
             guard = uni_at(names)
             inner = And(guard, body) if t is Exists else Implies(guard, body)
             for name in reversed(names):
-                inner = (Exists if t is Exists else Forall)(name, inner)
+                inner = t(name, inner)
             return inner
         if t in (ExistsLog, ForallLog):
             raise LogQuantifierUnsupported("log-quantifiers do not translate")
         if t is Ifp:
-            flat_terms = tuple(Var(n) for x in g.terms for n in tuple_of(x))
+            flat_terms = tuple(Var(n) for x in g.terms for n in tuple_of(x, elems))
             widened = gensym.fresh(g.relvar)
-            saved_rel = rel_map.get(g.relvar)
-            rel_map[g.relvar] = widened
-            saved_elem = {y: elem_map.get(y) for y in g.vars}
-            blocks = []
-            for y in g.vars:
-                block = elem_map[y] = tuple(gensym.fresh(f"{y}_") for _ in range(w))
-                blocks.append(block)
-            body = walk(g.body)
+            blocks = [fresh_tuple(y) for y in g.vars]
+            body = walk(g.body, {**elems, **dict(zip(g.vars, blocks))},
+                        {**rels, g.relvar: widened})
             guards = conj(uni_at(block) for block in blocks)
-            for y in g.vars:
-                if saved_elem[y] is None:
-                    del elem_map[y]
-                else:
-                    elem_map[y] = saved_elem[y]
-            if saved_rel is None:
-                del rel_map[g.relvar]
-            else:
-                rel_map[g.relvar] = saved_rel
             flat_vars = tuple(n for block in blocks for n in block)
             return Ifp(flat_vars, widened, And(guards, body), flat_terms)
         raise TypeError(f"not a formula: {g!r}")
 
-    return walk(f)
+    return walk(f, {}, {})
 
 
 def _lex_less(left: tuple[str, ...], right: tuple[str, ...]) -> Formula:

@@ -12,10 +12,15 @@ test that both readings have the same winner uses it.
 import itertools
 from typing import Optional
 
-from logifp.core import ceil_log, log_pow, mention_set, mention_union
+from logifp.core import ceil_log, log_pow, mention_set
 from logifp.errors import HypothesisViolated, ShapeMismatch
 from logifp.evaluate import enumerate_bounded_relations
 from logifp.game import ExpandedStructure, Winner, _Solver
+
+
+def mention_union(relations) -> frozenset:
+    """Elements occurring in some tuple of some relation."""
+    return frozenset(c for r in relations for t in r for c in t)
 
 
 def is_partial_isomorphism(a, extras_a, elems_a, b, extras_b, elems_b) -> bool:

@@ -1,8 +1,12 @@
 """Command-line front end: dispatch, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logifp import cli
 from logifp.core import Signature, Structure, save_structure
@@ -313,3 +317,87 @@ def test_subcommand_coverage_table():
                      "game.even_instance", "game.verify_fresh_strategy",
                      "eval.gc_check", "eval.evaluate_via_bitstrings"):
         assert required in reached
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--string", "01", "--formula-file", "{chain}"],
+    ["check", "--formula", "(" * 400 + "x=x" + ")" * 400],
+    ["check", "--formula", "!" * 2000 + "x=x"],
+])
+def test_recursion_limit_exit_code(argv, tmp_path, capsys):
+    chain = tmp_path / "chain.txt"
+    chain.write_text("Ex. " + " & ".join(["x=x"] * 3000))
+    code, out = run(["--format", "machine"] + [arg.format(chain=chain) for arg in argv], capsys)
+    assert code == 3 and out.startswith("error=resource limit: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["jencode", "--n", "8", "--tuples", "(a,b)"],
+    ["gc-run", "--string", "0101", "--k", "-1", "--c", "1", "--formula", "Ex. P0(x)"],
+    ["gc-run", "--string", "0", "--k", "-1", "--c", "1", "--formula", "Ex. P0(x)"],
+    ["eval", "--string", "", "--formula", "Ex. x=x"],
+    ["check", "--formula-file", ""],
+])
+def test_bad_arguments_exit_code(argv, capsys):
+    code, out = run(argv, capsys)
+    assert code == 2 and out.startswith("error: ")
+
+
+# --- property: any argv ends with exit code 0-3 and no traceback ---
+
+_ATOMS = ["x=y", "x<y", "P0(x)", "P1(y)", "X(x)", "BIT(x,y)", "x=0", "y<logn", "Q(x)", "S(x)"]
+_TOKENS = _ATOMS + ["Ex.", "Ay.", "(", ")", "&", "|", "->", "!", "=", "x", ",", "E2log[1]",
+                    "X:1", ".", "ifp[", "]", "<-", "[", "3", " "]
+
+
+def _formulas(log: bool):
+    quantifiers = ["Ex. ", "Ay. "] + (["E2log[1] X:1 . ", "A2log[1] X:1 . "] if log else [])
+    valid = st.recursive(
+        st.sampled_from(_ATOMS),
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from(["&", "|", "->"]), inner).map(
+                lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            inner.map(lambda g: f"!({g})"),
+            st.tuples(st.sampled_from(quantifiers), inner).map("".join),
+            inner.map(lambda g: f"ifp[S(x) <- {g}](y)"),
+        ),
+        max_leaves=4,
+    )
+    valid = st.tuples(st.sampled_from(["", "Ex. Ay. "]), valid).map("".join)
+    soup = st.lists(st.sampled_from([t for t in _TOKENS if log or "2log" not in t]),
+                    max_size=10).map(" ".join)
+    return st.one_of(valid, soup)
+
+
+def _small_ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _strings(alphabet):
+    return st.one_of(st.text(alphabet, min_size=1, max_size=4), st.text(alphabet + "x", max_size=2))
+
+
+_ARGV = st.one_of(
+    st.tuples(st.just(["check", "--formula"]), _formulas(True)).map(
+        lambda t: t[0] + [t[1]]),
+    st.tuples(_strings("01#[]"), _formulas(True)).map(
+        lambda t: ["eval", "--string", t[0], "--formula", t[1]]),
+    st.tuples(_small_ints(-1, 9), st.text("(),0123-a", max_size=10), st.booleans()).map(
+        lambda t: ["jencode", "--n", t[0], "--tuples", t[1]] + ["--as-set"] * t[2]),
+    st.tuples(_small_ints(-1, 9), st.text("01x", max_size=8), _small_ints(-1, 2)).map(
+        lambda t: ["jdecode", "--n", t[0], "--bits", t[1], "--k", t[2]]),
+    _small_ints(-1, 3).map(lambda r: ["build-jred", "--r", r]),
+    st.tuples(_strings("01#"), _small_ints(-1, 1), _small_ints(-1, 2),
+              _formulas(False)).map(
+        lambda t: ["gc-run", "--string", t[0], "--k", t[1], "--c", t[2], "--formula", t[3]]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.booleans(), _ARGV)
+def test_cli_exit_codes_on_arbitrary_arguments(machine, argv):
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = cli.run_command(["--format", "machine"] * machine + argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in sink.getvalue()

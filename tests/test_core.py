@@ -4,7 +4,6 @@ import pytest
 
 from logifp.core import (
     STR_SIG,
-    Relation,
     Signature,
     Structure,
     ceil_log,
@@ -13,7 +12,6 @@ from logifp.core import (
     load_structure,
     log_pow,
     mention_set,
-    mention_union,
     render,
     save_structure,
     structure_from_json,
@@ -144,22 +142,11 @@ def test_isomorphic_unordered_relabelling():
         isomorphic(a, Structure(ORDERED_DIGRAPH, 3, {}))
 
 
-def test_relation_validation():
-    r = Relation(2, frozenset({(0, 1), (2, 0)}), 3)
-    assert r.arity == 2
-    with pytest.raises(ArityMismatch):
-        Relation(2, frozenset({(0,)}), 3)
-    with pytest.raises(OutOfRange):
-        Relation(1, frozenset({(5,)}), 3)
-
-
 def test_mention_set_bound():
     # |ment(R)| <= arity * |R|
     r = frozenset({(0, 1), (2, 3), (4, 5)})
     assert mention_set(r) == frozenset(range(6))
     assert len(mention_set(r)) <= 2 * len(r)
-    assert mention_set(Relation(2, r, 6)) == frozenset(range(6))
-    assert mention_union([frozenset({(0,)}), frozenset({(2,)})]) == {0, 2}
 
 
 def test_json_round_trip(tmp_path):

@@ -2,12 +2,16 @@
 string-based evaluation paths."""
 
 import importlib
+import itertools
 import random
 
+import eval_oracle
 import pytest
 
-from logifp.core import Signature, Structure, from_text, log_pow
+from logifp.core import Signature, Structure, ceil_log, from_text, log_pow
+from logifp.encode import j_encode
 from logifp.errors import (
+    LogifpError,
     NotPrenex,
     OrderUsedUnordered,
     OutOfRange,
@@ -15,6 +19,7 @@ from logifp.errors import (
     UnsupportedShape,
 )
 from logifp.evaluate import (
+    _j_fiber,
     enumerate_bounded_relations,
     evaluate,
     evaluate_via_bitstrings,
@@ -255,6 +260,21 @@ def test_bitstring_path_agrees_with_direct():
             assert evaluate(u, f) == evaluate_via_bitstrings(u, f)
 
 
+def test_j_fiber_matches_oracle():
+    total = 0
+    for n in range(3, 10):
+        chunk_width = ceil_log(n) - 1
+        for count in range(4 if n < 7 else 3):
+            for bits in itertools.product("01", repeat=count * chunk_width):
+                z = "".join(bits)
+                fiber = list(_j_fiber(n, z, chunk_width))
+                assert len(set(fiber)) == len(fiber)
+                assert set(fiber) == set(eval_oracle.j_fiber(n, z, chunk_width))
+                assert all(j_encode(n, rel) == z for rel in fiber)
+                total += len(fiber)
+    assert total == 17_889
+
+
 def test_bitstring_path_rejects_bad_shapes():
     u = from_text("0101")
     with pytest.raises(NotPrenex):
@@ -287,3 +307,9 @@ def test_gc_check_first_witness_in_length_lex_order():
 
     found, witness = gc_check(u, 1, 2, wants_10)
     assert found and witness == "01"  # lex before "10", shorter than "111"
+
+
+def test_gc_check_rejects_negative_exponent():
+    for text in ("0", "0101"):
+        with pytest.raises(LogifpError):
+            gc_check(from_text(text), -1, 1, lambda candidate: True)

@@ -309,6 +309,7 @@ def test_deep_formula_does_not_hit_recursion_limit():
     m = metrics(f, STR_SIG)
     assert (m.mva, m.height, m.lqr, m.num_element_vars) == (0, 0, 0, 1)
     assert element_variables(f) == {"x"}
+    assert pretty(f) == "Ex. " + "(" * 2999 + "x=x" + " & x=x)" * 2999
 
 
 @pytest.mark.parametrize("text", [

@@ -1,7 +1,9 @@
 """Interpretations: application, backward formula translation, and the
 relation-encoding reduction."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from logifp.formula import (
     Exists,
     Ifp,
     parse_formula,
+    pretty,
     validate,
 )
 from logifp.interp import (
@@ -232,3 +235,16 @@ def test_interpretation_json_round_trip():
     assert j.width == i.width and j.source == i.source and j.target == i.target
     a = Structure(ORDERED_DIGRAPH, 3, {"E": {(0, 1), (2, 2)}})
     assert apply_interpretation(j, a) == apply_interpretation(i, a)
+
+
+def test_transform_formula_golden_output():
+    """Translations through the J-reductions for one and two relations and
+    the pairing interpretation, recorded before transform_formula passed
+    its bound names down the walk: free relation variables, nested fixed
+    points, and quantifiers and fixed points that shadow a bound name."""
+    interps = {"jred1": build_J_reduction(1), "jred2": build_J_reduction(2),
+               "pair": pairing_interpretation()}
+    cases = json.loads((Path(__file__).parent / "transform_golden.json").read_text())
+    assert len(cases) == 6
+    for name, text, expected in cases:
+        assert pretty(transform_formula(parse_formula(text), interps[name])) == expected
