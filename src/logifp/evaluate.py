@@ -13,6 +13,7 @@ as that call.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from typing import Callable, Iterator, Optional
 
@@ -225,15 +226,24 @@ def _log_prefix(f: Formula):
 def _j_fiber(n: int, z: str, chunk_width: int) -> Iterator[frozenset]:
     """All arity-2 relations whose lexicographic J-image is exactly `z`:
     one tuple (x, y) per chunk, y being the chunk's bits with the top bit
-    J drops either clear or set, the tuples strictly increasing."""
+    J drops either clear or set, each tuple above the one before."""
     columns = []
     for j in range(0, len(z), chunk_width):
         low = int(z[j:j + chunk_width][::-1], 2)
         columns.append([(x, y) for x in range(n)
                         for y in (low, low | 1 << chunk_width) if y < n])
-    for seq in itertools.product(*columns):
-        if all(s < t for s, t in zip(seq, seq[1:])):
-            yield frozenset(seq)
+
+    def choose(chosen: tuple) -> Iterator[frozenset]:
+        if len(chosen) == len(columns):
+            yield frozenset(chosen)
+            return
+        column = columns[len(chosen)]
+        # columns are sorted: take only the tuples above the last one chosen
+        start = bisect.bisect_right(column, chosen[-1]) if chosen else 0
+        for t in column[start:]:
+            yield from choose(chosen + (t,))
+
+    return choose(())
 
 
 def evaluate_via_bitstrings(u: StringStructure, f: Formula) -> bool:

@@ -275,8 +275,6 @@ def _pp(f: Formula, operand: bool) -> str:
             return "!" + _pp(inner, True)
         return "!(" + _pp(inner, False) + ")"
     if t in _BINARY:
-        if type(f.left) not in _BINARY:
-            return f"({_pp(f.left, True)} {_BINARY[t]} {_pp(f.right, True)})"
         # a left-nested chain such as conj builds: one loop, not a frame per link
         closes = []
         while type(f) in _BINARY:
