@@ -4,11 +4,18 @@ second-order quantifiers by enumeration, and the guess-then-check runner.
 An assignment is a plain dict mapping element-variable names to domain
 indices and relation-variable names to frozensets of tuples; the two kinds
 never collide because element variables are lowercase and relation
-variables uppercase.  The first fixed point met in one top-level call
-adds, under the non-string key _MEMO, the fixed points computed so far,
-keyed by the Ifp node and the values of the names its body reads from the
-assignment; every call copies the caller's dict, so the memo lives as long
-as that call.
+variables uppercase.  Every top-level call copies the caller's dict.
+
+Existential quantifiers, fixed-point stages and interpretation universes
+are built from the satisfying assignments `_solve` generates: an atom
+scans its relation, `x = t` binds x, conjunctions thread solutions left
+to right, disjunctions chain them, and any other formula pads its unbound
+variables from the domain and is tested.
+
+Each top-level call also creates one memo dict, passed down explicitly,
+that holds the fixed points computed so far, keyed by the Ifp node and
+the values of the names its body reads from the assignment, so the memo
+lives as long as that call.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from .formula import (
     Not,
     Or,
     Var,
+    _ATOMIC,
     metrics,
     terms,
     walk,
@@ -54,6 +62,7 @@ __all__ = [
     "enumerate_bounded_relations",
     "evaluate",
     "ifp_fixpoint",
+    "satisfying",
     "evaluate_via_bitstrings",
     "gc_check",
 ]
@@ -69,7 +78,11 @@ def enumerate_bounded_relations(n: int, arity: int, bound: int) -> Iterator[froz
 
 
 _MISSING = object()
-_MEMO = object()
+
+# Generation can meet these errors where testing each binding in ascending
+# order, with short-circuits, would not reach them; when it does, the
+# callers of _solve test each binding in that order instead.
+_LAZY_ERRORS = (OrderUsedUnordered, OutOfRange, UnboundVariable)
 
 
 def _term_value(a: Structure, t, env: dict) -> int:
@@ -96,19 +109,37 @@ def _term_value(a: Structure, t, env: dict) -> int:
 
 def evaluate(a: Structure, f: Formula, env: Optional[dict] = None) -> bool:
     """Truth of `f` in `a` under the given assignment."""
-    return _ev(a, f, dict(env) if env else {})
+    return _ev(a, f, dict(env) if env else {}, {})
 
 
-def _ev(a: Structure, f: Formula, env: dict) -> bool:
+def _relation(a: Structure, name: str, env: dict):
+    rel = a.rels.get(name)
+    if rel is None:
+        rel = env.get(name)
+        if rel is None:
+            raise UnboundVariable(f"relation {name}")
+    return rel
+
+
+def _chain(f: Formula, t: type):
+    """The members of the maximal chain of `t` nodes at f, left to right."""
+    if type(f.left) is not t and type(f.right) is not t:
+        return (f.left, f.right)
+    out, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        if type(g) is t:
+            todo += (g.right, g.left)
+        else:
+            out.append(g)
+    return out
+
+
+def _ev(a: Structure, f: Formula, env: dict, memo: dict) -> bool:
     t = type(f)
     if t is Atom:
         args = tuple(_term_value(a, x, env) for x in f.args)
-        rel = a.rels.get(f.name)
-        if rel is None:
-            rel = env.get(f.name)
-            if rel is None:
-                raise UnboundVariable(f"relation {f.name}")
-        return args in rel
+        return args in _relation(a, f.name, env)
     if t is Eq:
         return _term_value(a, f.left, env) == _term_value(a, f.right, env)
     if t is Less:
@@ -122,27 +153,34 @@ def _ev(a: Structure, f: Formula, env: dict) -> bool:
         x = _term_value(a, f.index, env)
         return (y >> x) & 1 == 1
     if t is Not:
-        return not _ev(a, f.body, env)
-    if t is And:
-        return _ev(a, f.left, env) and _ev(a, f.right, env)
-    if t is Or:
-        return _ev(a, f.left, env) or _ev(a, f.right, env)
+        return not _ev(a, f.body, env, memo)
+    if t is And or t is Or:
+        decided = t is Or
+        for g in _chain(f, t):
+            if _ev(a, g, env, memo) == decided:
+                return decided
+        return not decided
     if t is Implies:
-        return (not _ev(a, f.left, env)) or _ev(a, f.right, env)
-    if t is Exists or t is Forall:
-        want = t is Exists
+        return (not _ev(a, f.left, env, memo)) or _ev(a, f.right, env, memo)
+    if t is Exists:
+        old = env.pop(f.var, _MISSING)
+        try:
+            return next(_solve(a, f.body, env, (f.var,), memo), False)
+        except _LAZY_ERRORS:
+            env.pop(f.var, None)
+            return next(_tested(a, f.body, env, [f.var], memo), False)
+        finally:
+            _restore(env, f.var, old)
+    if t is Forall:
         old = env.get(f.var, _MISSING)
         try:
             for elem in range(a.n):
                 env[f.var] = elem
-                if _ev(a, f.body, env) == want:
-                    return want
-            return not want
+                if not _ev(a, f.body, env, memo):
+                    return False
+            return True
         finally:
-            if old is _MISSING:
-                env.pop(f.var, None)
-            else:
-                env[f.var] = old
+            _restore(env, f.var, old)
     if t is ExistsLog or t is ForallLog:
         want = t is ExistsLog
         bound = log_pow(a.n, f.k)
@@ -150,67 +188,211 @@ def _ev(a: Structure, f: Formula, env: dict) -> bool:
         try:
             for rel in enumerate_bounded_relations(a.n, f.arity, bound):
                 env[f.relvar] = rel
-                if _ev(a, f.body, env) == want:
+                if _ev(a, f.body, env, memo) == want:
                     return want
             return not want
         finally:
-            if old is _MISSING:
-                env.pop(f.relvar, None)
-            else:
-                env[f.relvar] = old
+            _restore(env, f.relvar, old)
     if t is Ifp:
-        memo = env.get(_MEMO)
-        if memo is None:
-            memo = env[_MEMO] = {}
         reads = memo.get(f)
         if reads is None:
             reads = memo[f] = _ifp_reads(a, f)
         key = (f, *[env.get(name, _MISSING) for name in reads])
         fixed = memo.get(key)
         if fixed is None:
-            fixed = memo[key] = ifp_fixpoint(a, f.body, f.vars, f.relvar, env)
+            fixed = memo[key] = ifp_fixpoint(a, f.body, f.vars, f.relvar, env, memo)
         point = tuple(_term_value(a, x, env) for x in f.terms)
         return point in fixed
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _ifp_reads(a: Structure, f: Ifp) -> tuple:
-    """The names the body of `f` reads from the assignment: its free
-    element variables other than f.vars and its free relation variables
-    other than f.relvar and the relations of `a`."""
+def _restore(env: dict, name: str, value) -> None:
+    if value is _MISSING:
+        env.pop(name, None)
+    else:
+        env[name] = value
+
+
+def _bind(env: dict, names, rows) -> Iterator[bool]:
+    """Bind `names` to each row of values in turn; unbind them when done."""
+    for row in rows:
+        env.update(zip(names, row))
+        yield True
+    for name in names:
+        env.pop(name, None)
+
+
+def _solve(a: Structure, f: Formula, env: dict, want: tuple, memo: dict) -> Iterator[bool]:
+    """An iterator that yields once for each extension of `env` under
+    which `f` holds.
+
+    Only names in `want` that are unbound in `env` are bound, in `env`
+    itself; each extension holds while the iterator is suspended at its
+    yield.  A name `f` does not constrain may stay unbound: `f` then holds
+    for every value of it.  An exhausted iterator leaves `env` as it found
+    it; a caller that stops early unbinds the names of `want` itself.
+    """
+    for name in want:
+        if name not in env:
+            break
+    else:  # nothing left to bind: a test
+        return iter((True,) if _ev(a, f, env, memo) else ())
+    t = type(f)
+    if t is Atom:
+        slot, fixed, repeated = {}, [], []
+        for i, x in enumerate(f.args):
+            if type(x) is not Var or x.name in env:
+                fixed.append(i)
+            elif x.name not in want:
+                break  # tested below, which raises UnboundVariable
+            elif x.name in slot:
+                repeated.append((i, slot[x.name]))
+            else:
+                slot[x.name] = i
+        else:
+            if slot:
+                return _scan(a, f, env, slot, fixed, repeated)
+    elif t is Eq:
+        for var, other in ((f.left, f.right), (f.right, f.left)):
+            if (type(var) is Var and var.name in want and var.name not in env
+                    and not (type(other) is Var and other.name not in env)):
+                return _bind(env, (var.name,), ((_term_value(a, other, env),),))
+    elif t is And:
+        return _join(a, _chain(f, And), env, want, memo)
+    elif t is Or:
+        return _union(a, _chain(f, Or), env, want, memo)
+    elif t is Exists:
+        return _solve_exists(a, f, env, want, memo)
+    reads = {x.name for x in terms(f) if type(x) is Var} if t in _ATOMIC else _reads(a, f)
+    return _tested(a, f, env, [name for name in want if name not in env and name in reads],
+                   memo)
+
+
+def _tested(a: Structure, f: Formula, env: dict, names: list, memo: dict,
+            known=()) -> Iterator[bool]:
+    """Bind `names` to every combination of domain elements in turn, the
+    last name fastest, and yield where `f` holds, skipping the
+    combinations in `known`; unbind them when done."""
+    for row in itertools.product(range(a.n), repeat=len(names)):
+        env.update(zip(names, row))
+        if row not in known and _ev(a, f, env, memo):
+            yield True
+    for name in names:
+        env.pop(name, None)
+
+
+def _scan(a: Structure, f: Atom, env: dict, slot: dict, fixed: list,
+          repeated: list) -> Iterator[bool]:
+    """Bind each name of `slot` to its argument position in every tuple of
+    the relation of `f` that agrees with the values of the `fixed`
+    arguments and repeats the first position of a name at the `repeated`
+    ones."""
+    values = [(i, _term_value(a, f.args[i], env)) for i in fixed]
+    checked = values or repeated
+    for row in _relation(a, f.name, env):
+        if checked and not (all(row[i] == v for i, v in values)
+                            and all(row[i] == row[j] for i, j in repeated)):
+            continue
+        for name, i in slot.items():
+            env[name] = row[i]
+        yield True
+    for name in slot:
+        env.pop(name, None)
+
+
+def _join(a: Structure, parts: list, env: dict, want: tuple, memo: dict) -> Iterator[bool]:
+    """Solutions of a conjunction: one iterator per conjunct, each started
+    from a solution of the ones before, kept on a stack."""
+    stack = [_solve(a, parts[0], env, want, memo)]
+    while stack:
+        if not next(stack[-1], False):
+            stack.pop()
+        elif len(stack) == len(parts):
+            yield True
+        else:
+            stack.append(_solve(a, parts[len(stack)], env, want, memo))
+
+
+def _union(a: Structure, parts: list, env: dict, want: tuple, memo: dict) -> Iterator[bool]:
+    """Solutions of a disjunction: those of each disjunct in turn."""
+    for g in parts:
+        yield from _solve(a, g, env, want, memo)
+
+
+def _solve_exists(a: Structure, f: Exists, env: dict, want: tuple,
+                  memo: dict) -> Iterator[bool]:
+    """Solutions of the body with its variable hidden from the caller."""
+    old = env.pop(f.var, _MISSING)
+    try:
+        for _ in _solve(a, f.body, env, want if f.var in want else want + (f.var,), memo):
+            inner = env.pop(f.var, _MISSING)
+            _restore(env, f.var, old)
+            yield True
+            _restore(env, f.var, inner)
+    except _LAZY_ERRORS:
+        _restore(env, f.var, old)  # the caller tests again from here
+        raise
+    _restore(env, f.var, old)
+
+
+def satisfying(a: Structure, f: Formula, names: tuple, env: Optional[dict] = None,
+               memo: Optional[dict] = None, known: frozenset = frozenset()) -> frozenset:
+    """`known` and the tuples of values of `names` under which `f` holds in
+    `a`, the other free names taken from `env`.  The tuples of `known` are
+    taken to satisfy `f` and are not tested again."""
+    env = dict(env) if env else {}
+    for name in names:
+        env.pop(name, None)
+    memo = {} if memo is None else memo
+    found = set(known)
+    try:
+        for _ in _solve(a, f, env, tuple(names), memo):
+            unbound = [name for name in names if name not in env]
+            for _ in _bind(env, unbound, itertools.product(range(a.n), repeat=len(unbound))):
+                found.add(tuple(env[name] for name in names))
+    except _LAZY_ERRORS:
+        for name in names:
+            env.pop(name, None)
+        found = set(known)
+        for _ in _tested(a, f, env, list(names), memo, known):
+            found.add(tuple(env[name] for name in names))
+    return frozenset(found)
+
+
+def _reads(a: Structure, f: Formula) -> set:
+    """The names `f` reads from the assignment: its free element variables
+    and its free relation variables other than the relations of `a`."""
     reads = set()
-    for g, bound, rels, _ in walk(f.body):
+    for g, bound, rels, _ in walk(f):
         reads.update(x.name for x in terms(g) if type(x) is Var and x.name not in bound)
         if type(g) is Atom and g.name not in rels and g.name not in a.rels:
             reads.add(g.name)
-    return tuple(reads.difference(f.vars, (f.relvar,)))
+    return reads
+
+
+def _ifp_reads(a: Structure, f: Ifp) -> tuple:
+    """The names the body of `f` reads from the assignment, other than
+    f.vars and f.relvar."""
+    return tuple(_reads(a, f.body).difference(f.vars, (f.relvar,)))
 
 
 def ifp_fixpoint(a: Structure, body: Formula, vars: tuple, relvar: str,
-                 env: Optional[dict] = None) -> frozenset:
+                 env: Optional[dict] = None, memo: Optional[dict] = None) -> frozenset:
     """Inflationary iteration X_{i+1} = X_i U {t : body(t, X_i)} until stable.
 
     Extra free element variables in `body` act as frozen parameters.
+    `memo` holds the fixed points already computed in the enclosing
+    evaluation.
     """
     env = dict(env) if env else {}
-    arity = len(vars)
-    stage: set = set()
-    candidates = list(itertools.product(range(a.n), repeat=arity))
+    memo = {} if memo is None else memo
+    stage = frozenset()
     while True:
-        env[relvar] = frozenset(stage)
-        added = []
-        for point in candidates:
-            if point in stage:
-                continue
-            for name, value in zip(vars, point):
-                env[name] = value
-            if _ev(a, body, env):
-                added.append(point)
-        for name in vars:
-            env.pop(name, None)
-        if not added:
-            return frozenset(stage)
-        stage.update(added)
+        env[relvar] = stage
+        grown = satisfying(a, body, vars, env, memo, stage)
+        if len(grown) == len(stage):
+            return stage
+        stage = grown
 
 
 def _log_prefix(f: Formula):
@@ -266,7 +448,7 @@ def evaluate_via_bitstrings(u: StringStructure, f: Formula) -> bool:
 
     def assign(rest: list, env: dict) -> bool:
         if not rest:
-            return _ev(u, matrix, env)
+            return _ev(u, matrix, env, memo)
         relvar, _, k = rest[0]
         max_chunks = log_pow(n, k)
         for count in range(max_chunks + 1):
@@ -279,6 +461,7 @@ def evaluate_via_bitstrings(u: StringStructure, f: Formula) -> bool:
         env.pop(relvar, None)
         return False
 
+    memo: dict = {}
     return assign(prefix, {})
 
 

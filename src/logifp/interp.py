@@ -24,7 +24,7 @@ from .errors import (
     SignatureMismatch,
     UnsupportedTerm,
 )
-from .evaluate import evaluate
+from .evaluate import evaluate, satisfying
 from .formula import (
     And,
     Atom,
@@ -100,11 +100,7 @@ def apply_interpretation(i: Interpretation, a: Structure) -> Structure:
     if a.sig != i.source:
         raise SignatureMismatch("structure is not over the interpretation's source signature")
     w = i.width
-    names = canon_vars(w)
-    universe = [
-        t for t in itertools.product(range(a.n), repeat=w)
-        if evaluate(a, i.uni, dict(zip(names, t)))
-    ]
+    universe = sorted(satisfying(a, i.uni, canon_vars(w)))
     if not universe:
         raise EmptyUniverse("no tuple satisfies the universe formula")
     if i.less is not None:

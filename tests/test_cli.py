@@ -320,15 +320,19 @@ def test_subcommand_coverage_table():
 
 
 @pytest.mark.parametrize("argv", [
-    ["eval", "--string", "01", "--formula-file", "{chain}"],
     ["check", "--formula", "(" * 400 + "x=x" + ")" * 400],
     ["check", "--formula", "!" * 2000 + "x=x"],
 ])
-def test_recursion_limit_exit_code(argv, tmp_path, capsys):
+def test_recursion_limit_exit_code(argv, capsys):
+    code, out = run(["--format", "machine"] + argv, capsys)
+    assert code == 3 and out.startswith("error=resource limit: ")
+
+
+def test_eval_deep_conjunction(tmp_path, capsys):
     chain = tmp_path / "chain.txt"
     chain.write_text("Ex. " + " & ".join(["x=x"] * 3000))
-    code, out = run(["--format", "machine"] + [arg.format(chain=chain) for arg in argv], capsys)
-    assert code == 3 and out.startswith("error=resource limit: ")
+    assert run(["--format", "machine", "eval", "--string", "01", "--formula-file", str(chain)],
+               capsys) == (0, "result=true\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,6 +7,7 @@ import random
 
 import eval_oracle
 import pytest
+from eval_oracle import agrees, outcome
 
 from logifp.core import Signature, Structure, ceil_log, from_text, log_pow
 from logifp.encode import j_encode
@@ -26,7 +27,21 @@ from logifp.evaluate import (
     gc_check,
     ifp_fixpoint,
 )
-from logifp.formula import parse_formula
+from logifp.formula import (
+    Eq,
+    Exists,
+    ExistsLog,
+    ForallLog,
+    Less,
+    Lit,
+    Var,
+    conj,
+    disj,
+    parse_formula,
+    pretty,
+    walk,
+)
+from test_formula import _random_formula
 
 DIGRAPH = Signature((("E", 2),), ordered=False)
 ORDERED = Signature((("E", 2),), ordered=True)
@@ -89,6 +104,76 @@ def test_unbound_variable():
         evaluate(a, parse_formula("E(x,y)"), {"x": 0})
     with pytest.raises(UnboundVariable):
         evaluate(a, parse_formula("Y(x)"), {"x": 0})
+    # only the quantified variable is generated, never a free one
+    for text in ("Ex. y=y", "Ex. x=y", "Ex. y=x", "Ex. E(x,y)"):
+        with pytest.raises(UnboundVariable):
+            evaluate(a, parse_formula(text))
+
+
+def test_errors_follow_the_order_of_disjuncts():
+    u = from_text("0")
+    assert evaluate(u, parse_formula("Ex.(x=0 | x=1)"))
+    with pytest.raises(OutOfRange):
+        evaluate(u, parse_formula("Ex.(x=1 | x=0)"))
+    # generation meets the unbound y under x = 1; testing x = 0 first does not
+    assert evaluate(from_text("01"), parse_formula("Ex.((x=1 & y=y) | x=0)"))
+    # generation meets the literal 1 under the Ex, which hides the parameter
+    # x; testing y = 0 stops at y=x
+    body = parse_formula("y=x | Ex.(x=1 & y=y)")
+    assert ifp_fixpoint(u, body, ("y",), "Y", {"x": 0}) == {(0,)}
+
+
+@pytest.mark.parametrize("text,error", [
+    ("Ex.(P1(x) | x=5)", OutOfRange),
+    ("Ex.(P1(x) | y=y)", UnboundVariable),
+])
+def test_generated_witness_comes_before_a_later_error(text, error):
+    # testing x = 0, 1, ... in turn meets the error of the second disjunct
+    # at x = 0; scanning P1 finds the witness x = 1 first, and three-valued
+    # logic agrees that the sentence holds
+    u, f = from_text("0101"), parse_formula(text)
+    with pytest.raises(error):
+        eval_oracle.evaluate(u, f)
+    assert eval_oracle.kleene(u, f) is True
+    assert evaluate(u, f) is True
+
+
+def test_deep_chains_do_not_hit_recursion_limit():
+    x = Var("x")
+    u = from_text("01")
+    assert evaluate(u, Exists("x", conj([Eq(x, x)] * 3000)))
+    assert evaluate(u, Exists("x", disj([Less(x, x)] * 2999 + [Eq(x, Lit(1))])))
+    assert evaluate(u, conj([Eq(x, x)] * 3000), {"x": 0})
+    assert not evaluate(u, disj([Less(x, x)] * 3000), {"x": 0})
+    assert ifp_fixpoint(u, conj([Eq(x, x)] * 3000), ("x",), "Y") == {(0,), (1,)}
+
+
+@pytest.mark.parametrize("strings", [True, False])
+def test_evaluation_agrees_with_oracle_on_random_formulas(strings):
+    """evaluate and ifp_fixpoint (x and y generated, E or Y as the stage
+    relation) against the element-by-element oracle, over strings, where
+    the partial assignment may leave x, y, z or E unbound, and over
+    unordered digraphs, where order terms raise."""
+    rng = random.Random(21 if strings else 22)
+    for _ in range(1500):
+        f = _random_formula(rng, rng.randint(1, 5))
+        logs = any(type(g) in (ExistsLog, ForallLog) for g, _, _, _ in walk(f))
+        n = rng.randint(1, 2 if logs else 4)
+        edges = frozenset((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3)))
+        env = {v: rng.randrange(n) for v in "xyz" if rng.random() < 0.5}
+        if not strings:
+            u, stage = digraph(n, edges), "Y"
+        else:
+            u, stage = from_text("".join(rng.choice("01") for _ in range(n))), "E"
+            if rng.random() < 0.7:
+                env["E"] = edges
+        got = outcome(evaluate, u, f, env)
+        expected = outcome(eval_oracle.evaluate, u, f, env)
+        assert agrees(got, expected, lambda: outcome(eval_oracle.decided, u, f, env)), pretty(f)
+        args = (u, f, ("x", "y"), stage, env)
+        got = outcome(ifp_fixpoint, *args)
+        expected = outcome(eval_oracle.ifp_fixpoint, *args)
+        assert agrees(got, expected, lambda: outcome(eval_oracle.kleene_fixpoint, *args)), pretty(f)
 
 
 def test_log_quantifier_cannot_cover_larger_domain():
@@ -236,6 +321,19 @@ def test_nested_ifp_memo_keys_on_outer_stage():
         assert ifp_fixpoint(a, outer.body, outer.vars, outer.relvar) == stage
         assert [evaluate(a, outer, {"x": x}) for x in range(n)] == \
             [(x,) in stage for x in range(n)]
+
+
+def test_ifp_memo_spans_the_stages_of_an_enclosing_fixed_point(monkeypatch):
+    ev = importlib.import_module("logifp.evaluate")
+    calls = []
+    original = ev.ifp_fixpoint
+    monkeypatch.setattr(ev, "ifp_fixpoint", lambda *args: calls.append(1) or original(*args))
+    # Y: the loops, then what they reach; the loops (Z) read nothing that
+    # changes from one stage of Y to the next
+    f = parse_formula("ifp[Y(u) <- ifp[Z(v) <- E(v,v)](u) | Ew.(Y(w) & E(w,u))](x)")
+    a = digraph(4, {(0, 0), (0, 1), (1, 2), (2, 3)})
+    assert evaluate(a, f, {"x": 3})
+    assert len(calls) == 2
 
 
 def test_bitstring_path_example():

@@ -1,18 +1,23 @@
 """Interpretations: application, backward formula translation, and the
 relation-encoding reduction."""
 
+import importlib
 import json
 import random
 from pathlib import Path
 
+import eval_oracle
 import pytest
+from eval_oracle import agrees, outcome
+from test_formula import _random_formula
 
-from logifp.core import STR_SIG, Signature, Structure, from_text, render
+from logifp.core import STR_SIG, Signature, Structure, ceil_log, from_text, render
 from logifp.encode import j_encode
 from logifp.errors import (
     EmptyUniverse,
     LogQuantifierUnsupported,
     NotLinearOrder,
+    OutOfRange,
     SignatureMismatch,
     UnsupportedTerm,
 )
@@ -20,13 +25,18 @@ from logifp.evaluate import evaluate
 from logifp.formula import (
     And,
     Exists,
+    ExistsLog,
+    ForallLog,
     Ifp,
     parse_formula,
     pretty,
     validate,
+    walk,
 )
 from logifp.interp import (
     Interpretation,
+    _Gensym,
+    _rename,
     apply_interpretation,
     build_J_reduction,
     canon_vars,
@@ -248,3 +258,80 @@ def test_transform_formula_golden_output():
     assert len(cases) == 6
     for name, text, expected in cases:
         assert pretty(transform_formula(parse_formula(text), interps[name])) == expected
+
+
+def test_j_reduction_on_one_letter_string():
+    # the literal 1 of the '#' and bit families is outside a one-element domain
+    red = build_J_reduction(1)
+    for text in "01":
+        with pytest.raises(OutOfRange):
+            apply_interpretation(red, _reduction_input(red, text, [set()]))
+
+
+def test_j_reduction_tests_only_order_and_relations(monkeypatch):
+    """The universe comes from the solutions of the universe formula: the
+    only evaluate calls left are the order test of each pair of universe
+    tuples and the test of each of the five string relations on each
+    tuple, not one per candidate of the 8**6."""
+    module = importlib.import_module("logifp.interp")
+    calls = []
+    original = module.evaluate
+    monkeypatch.setattr(module, "evaluate", lambda *args: calls.append(1) or original(*args))
+    red = build_J_reduction(1)
+    rel = {(1, 2), (3, 0), (7, 7)}
+    b = apply_interpretation(red, _reduction_input(red, "01101001", [rel]))
+    assert render(b) == "01101001#" + j_encode(8, rel)
+    assert len(calls) <= b.n ** 2 + 5 * b.n
+
+
+@pytest.mark.parametrize("r,largest", [(1, 8), (2, 7)])
+def test_j_reduction_agrees_with_oracle(r, largest):
+    # the oracle tests all n**(6 + ceil_log(r)) tuples: 8**7 would take it
+    # 10-30 s for r = 2
+    red = build_J_reduction(r)
+    rng = random.Random(40 + r)
+    for n in range(2, largest + 1):
+        u_text = "".join(rng.choice("01") for _ in range(n))
+        rels = [{(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, ceil_log(n)))}
+                for _ in range(r)]
+        a = _reduction_input(red, u_text, rels)
+        assert apply_interpretation(red, a) == eval_oracle.apply_interpretation(red, a)
+
+
+UNORDERED_F = Signature((("F", 2),), ordered=False)
+LEX_ORDER = {1: parse_formula("x1<x2"), 2: parse_formula("x1<x3 | (x1=x3 & x2<x4)")}
+
+
+def _random_member(rng, width):
+    """A random formula of test_formula over the names x1..x{width}."""
+    names = canon_vars(width)
+    return _rename(_random_formula(rng, rng.randint(1, 4)),
+                   {v: rng.choice(names) for v in "xyz"}, _Gensym(()))
+
+
+def test_apply_interpretation_agrees_with_oracle():
+    """Random universe and relation formulas, with and without an order
+    formula, against the oracle that tests every tuple.  Where the oracle
+    meets an error first, the result must be the one three-valued logic
+    decides."""
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(1500):
+        w = rng.randint(1, 2)
+        ordered = rng.random() < 0.5
+        i = Interpretation(width=w, source=ORDERED_DIGRAPH,
+                           target=ORDERED_F if ordered else UNORDERED_F,
+                           uni=_random_member(rng, w), rels={"F": _random_member(rng, 2 * w)},
+                           less=LEX_ORDER[w] if ordered else None)
+        logs = any(type(g) in (ExistsLog, ForallLog)
+                   for f in (i.uni, i.rels["F"]) for g, _, _, _ in walk(f))
+        n = rng.randint(1, 2 if logs else 3)
+        a = Structure(ORDERED_DIGRAPH, n, {
+            "E": {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 4))}})
+        got = outcome(apply_interpretation, i, a)
+        expected = outcome(eval_oracle.apply_interpretation, i, a)
+        assert agrees(got, expected, lambda: outcome(eval_oracle.apply_interpretation, i, a,
+                                                     eval_oracle.decided)), \
+            (pretty(i.uni), pretty(i.rels["F"]), n, a.rels)
+        outcomes.add(expected if isinstance(expected, type) else Structure)
+    assert {Structure, EmptyUniverse, OutOfRange} <= outcomes
