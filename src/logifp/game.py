@@ -96,10 +96,17 @@ def _pairing(a: Structure, extras_a, b: Structure, extras_b) -> tuple:
     return tuple(table)
 
 
+def _atomic_type(table, side: int, x: int) -> tuple:
+    """Which relations of one side (1 = left, 2 = right, as in the rows
+    of the pairing table) hold on the diagonal tuple (x, ..., x): the
+    pair (x, y) is a partial isomorphism exactly when x and y agree."""
+    return tuple((x,) * row[0] in row[side] for row in table)
+
+
 def _extends(table, ordered: bool, q, x: int, y: int) -> bool:
     """Whether q | {(x, y)} is a partial isomorphism, given that the pairs q
     form one: only the new pair is tested, against the order on the pairs
-    of q and on the tuples that mention x."""
+    of q, its atomic type, and the tuples that mix x with elements of q."""
     fwd = {x: y}
     for x2, y2 in q:
         if x2 == x or y2 == y:
@@ -107,22 +114,29 @@ def _extends(table, ordered: bool, q, x: int, y: int) -> bool:
         if ordered and (x2 < x) != (y2 < y):
             return False
         fwd[x2] = y2
+    if _atomic_type(table, 1, x) != _atomic_type(table, 2, y):
+        return False
+    if not q:
+        return True
     for arity, ta, tb in table:
         for t in itertools.product(fwd, repeat=arity):
-            if x in t and (t in ta) != (tuple(map(fwd.get, t)) in tb):
+            if 0 < t.count(x) < arity and (t in ta) != (tuple(map(fwd.get, t)) in tb):
                 return False
     return True
 
 
 def _partial_isos(table, ordered: bool, na: int, nb: int, s: int) -> set:
-    """All partial isomorphisms of size <= s, as frozensets of pairs.  Each
-    one of size i + 1 is built once, from the one of size i without its
-    pair of largest left element."""
-    singles = [(x, y) for x in range(na) for y in range(nb)
-               if _extends(table, ordered, (), x, y)]
-    layer = [frozenset()]
-    out = {frozenset()}
-    for _ in range(s):
+    """All partial isomorphisms of size <= s, as frozensets of pairs.  The
+    single pairs match elements of equal atomic type; each larger one of
+    size i + 1 is built once, from the one of size i without its pair of
+    largest left element."""
+    right: dict = {}
+    for y in range(nb):
+        right.setdefault(_atomic_type(table, 2, y), []).append(y)
+    singles = [(x, y) for x in range(na) for y in right.get(_atomic_type(table, 1, x), ())]
+    layer = [frozenset((pair,)) for pair in singles]
+    out = {frozenset(), *layer}
+    for _ in range(s - 1):
         nxt = []
         for p in layer:
             top = max((x for x, _ in p), default=-1)

@@ -1,5 +1,6 @@
 """Pebble games, relation moves, strategies, and the sentence sampler."""
 
+import importlib
 import itertools
 import random
 
@@ -301,6 +302,104 @@ def test_fresh_strategy_matches_oracle(params, sizes):
     a, b = digraph(sizes[0]), digraph(sizes[1])
     p = GameParams(*params)
     assert verify_fresh_strategy(a, b, p) is game_oracle.verify_fresh_strategy(a, b, p) is True
+
+
+# --- atomic types: single pairs, and tuples that mix a new element with old ones ---
+
+TERNARY_SIGNATURES = (Signature((("T", 3),), ordered=False),
+                      Signature((("T", 3), ("P", 1)), ordered=True))
+
+
+def _ternary_cells(rng, n, arity):
+    """A random relation that holds on few diagonal tuples (x, ..., x), so
+    that many pairs share an atomic type and the tuples that mix elements,
+    such as (x, x, y) and (x, y, x), decide the larger positions."""
+    return frozenset(t for t in itertools.product(range(n), repeat=arity)
+                     if rng.random() < (0.15 if len(set(t)) == 1 else 0.3))
+
+
+def _random_ternary_pair(rng):
+    sig = rng.choice(TERNARY_SIGNATURES)
+    n_a, n_b = rng.randint(1, 4), rng.randint(1, 4)
+    a, b = (Structure(sig, n, {name: _ternary_cells(rng, n, arity)
+                               for name, arity in sig.relations}) for n in (n_a, n_b))
+    if rng.random() < 0.3:
+        b, n_b = a, n_a
+    arities = [rng.randint(1, 3) for _ in range(rng.randint(0, 2))]
+    extras_a = tuple((k, _ternary_cells(rng, n_a, k)) for k in arities)
+    extras_b = tuple((k, _ternary_cells(rng, n_b, k)) for k in arities)
+    return ExpandedStructure(a, extras_a), ExpandedStructure(b, extras_b)
+
+
+def test_mixed_tuples_decide_pairs_of_equal_atomic_type():
+    sig = TERNARY_SIGNATURES[0]
+    a = Structure(sig, 2, {"T": {(0, 0, 1)}})
+    b = Structure(sig, 2, {"T": {(0, 1, 0)}})
+    for elems_a, elems_b in itertools.product(itertools.permutations(range(2)), repeat=2):
+        assert not is_partial_isomorphism(a, (), elems_a, b, (), elems_b)
+        assert is_partial_isomorphism(a, (), elems_a[:1], b, (), elems_b[:1])
+    assert is_partial_isomorphism(a, (), (0, 1), a, (), (0, 1))
+    ea, eb = ExpandedStructure(a), ExpandedStructure(b)
+    for s, winner in ((1, Winner.DUPLICATOR), (2, Winner.SPOILER)):
+        got = pebble_game_winner(ea, eb, s)
+        assert got[0] is winner
+        assert got == game_oracle.pebble_game_winner(ea, eb, s)
+
+
+def test_ternary_pebble_solver_and_partial_isomorphism_match_oracle():
+    rng = random.Random(23)
+    winners, verdicts = set(), set()
+    for _ in range(100):
+        ea, eb = _random_ternary_pair(rng)
+        for s in (1, 2, 3):
+            got = pebble_game_winner(ea, eb, s)
+            assert got == game_oracle.pebble_game_winner(ea, eb, s)
+            winners.add(got[0])
+        a, b = ea.base, eb.base
+        for _ in range(5):
+            size = rng.randint(0, 4)
+            elems_a = tuple(rng.randrange(a.n) for _ in range(size))
+            elems_b = tuple(rng.randrange(b.n) for _ in range(size))
+            got = is_partial_isomorphism(a, ea.extras, elems_a, b, eb.extras, elems_b)
+            assert got == game_oracle.is_partial_isomorphism(
+                a, ea.extras, elems_a, b, eb.extras, elems_b)
+            verdicts.add(got)
+    assert winners == {Winner.DUPLICATOR, Winner.SPOILER}
+    assert verdicts == {True, False}
+
+
+def test_single_pairs_need_no_extension_check(monkeypatch):
+    """Single pairs come from grouping elements by atomic type: at s = 1
+    the solver makes no extension check, and at s = 2 none for a single
+    pair, only for a pair added to a position of one pair."""
+    module = importlib.import_module("logifp.game")
+    sizes = []
+    original = module._extends
+    monkeypatch.setattr(module, "_extends",
+                        lambda table, ordered, q, x, y: sizes.append(len(q))
+                        or original(table, ordered, q, x, y))
+    ea = ExpandedStructure(digraph(5), ((1, frozenset({(0,), (3,)})),))
+    eb = ExpandedStructure(digraph(6), ((1, frozenset({(2,)})),))
+    assert pebble_game_winner(ea, eb, 1)[0] is Winner.DUPLICATOR
+    assert sizes == []
+    assert pebble_game_winner(ea, eb, 2)[0] is Winner.SPOILER
+    assert sizes and set(sizes) == {1}
+
+
+def test_even_demo_nodes_and_pebble_solves(monkeypatch):
+    """The game solver's work is unchanged: the nodes it charges and the
+    pebble games it solves for `logifp even-demo --m 1 --r 1 --k 1 --s 1`."""
+    module = importlib.import_module("logifp.game")
+    calls = []
+    original = module.pebble_game_winner
+    monkeypatch.setattr(module, "pebble_game_winner",
+                        lambda *args: calls.append(1) or original(*args))
+    params = GameParams(1, 1, 1, 1)
+    n_a, n_b = even_instance(params)
+    winner, transcript = game_winner(digraph(n_a), digraph(n_b), params)
+    assert winner is Winner.DUPLICATOR
+    assert transcript["nodes"] == 62878
+    assert len(calls) == 563
 
 
 # --- properties: swapping the two structures ---
