@@ -17,26 +17,6 @@ from .errors import LogifpError, ParseError, ResourceLimit
 from .evaluate import evaluate as eval_formula
 from .evaluate import gc_check
 
-# which module operations each subcommand reaches (used by the coverage test)
-SUBCOMMAND_OPS = {
-    "check": ["formula.parse_formula", "formula.validate", "formula.metrics"],
-    "eval": ["eval.evaluate", "eval.ifp_fixpoint", "eval.enumerate_bounded_relations",
-             "eval.ceil_log", "eval.log_pow", "core.load_structure", "core.from_text"],
-    "encode": ["encode.enc_structure", "encode.enc_element", "encode.to_string_structure",
-               "core.isomorphic"],
-    "decode": ["encode.dec_structure"],
-    "jencode": ["encode.j_encode", "core.mention_set"],
-    "jdecode": ["encode.j_preimage"],
-    "interp-apply": ["interp.apply_interpretation"],
-    "interp-transform": ["interp.transform_formula"],
-    "build-jred": ["interp.build_J_reduction"],
-    "game": ["game.game_winner", "game.is_partial_isomorphism",
-             "game.equivalence_sampler"],
-    "pebble": ["game.pebble_game_winner"],
-    "even-demo": ["game.even_instance", "game.game_winner", "game.verify_fresh_strategy"],
-    "gc-run": ["eval.gc_check", "eval.evaluate_via_bitstrings", "encode.concat_hash"],
-}
-
 
 class _Output:
     def __init__(self, machine: bool):

@@ -167,36 +167,20 @@ def _ev(a: Structure, f: Formula, env: dict, memo: dict) -> bool:
         try:
             return next(_solve(a, f.body, env, (f.var,), memo), False)
         except _LAZY_ERRORS:
-            env.pop(f.var, None)
-            return next(_tested(a, f.body, env, [f.var], memo), False)
+            return _some(a, f.body, env, f.var, range(a.n), True, memo)
         finally:
             _restore(env, f.var, old)
     if t is Forall:
-        old = env.get(f.var, _MISSING)
-        try:
-            for elem in range(a.n):
-                env[f.var] = elem
-                if not _ev(a, f.body, env, memo):
-                    return False
-            return True
-        finally:
-            _restore(env, f.var, old)
+        return not _some(a, f.body, env, f.var, range(a.n), False, memo)
     if t is ExistsLog or t is ForallLog:
         want = t is ExistsLog
-        bound = log_pow(a.n, f.k)
-        old = env.get(f.relvar, _MISSING)
-        try:
-            for rel in enumerate_bounded_relations(a.n, f.arity, bound):
-                env[f.relvar] = rel
-                if _ev(a, f.body, env, memo) == want:
-                    return want
-            return not want
-        finally:
-            _restore(env, f.relvar, old)
+        rels = enumerate_bounded_relations(a.n, f.arity, log_pow(a.n, f.k))
+        return _some(a, f.body, env, f.relvar, rels, want, memo) == want
     if t is Ifp:
         reads = memo.get(f)
         if reads is None:
-            reads = memo[f] = _ifp_reads(a, f)
+            # the names the body reads from the assignment, other than its own
+            reads = memo[f] = tuple(_reads(a, f.body).difference(f.vars, (f.relvar,)))
         key = (f, *[env.get(name, _MISSING) for name in reads])
         fixed = memo.get(key)
         if fixed is None:
@@ -204,6 +188,21 @@ def _ev(a: Structure, f: Formula, env: dict, memo: dict) -> bool:
         point = tuple(_term_value(a, x, env) for x in f.terms)
         return point in fixed
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _some(a: Structure, body: Formula, env: dict, name: str, values, want: bool,
+          memo: dict) -> bool:
+    """Whether `body` evaluates to `want` with `name` bound to some of
+    `values`, tried in order; `name` is restored afterwards."""
+    old = env.get(name, _MISSING)
+    try:
+        for value in values:
+            env[name] = value
+            if _ev(a, body, env, memo) == want:
+                return True
+        return False
+    finally:
+        _restore(env, name, old)
 
 
 def _restore(env: dict, name: str, value) -> None:
@@ -260,7 +259,8 @@ def _solve(a: Structure, f: Formula, env: dict, want: tuple, memo: dict) -> Iter
     elif t is And:
         return _join(a, _chain(f, And), env, want, memo)
     elif t is Or:
-        return _union(a, _chain(f, Or), env, want, memo)
+        return itertools.chain.from_iterable(_solve(a, g, env, want, memo)
+                                             for g in _chain(f, Or))
     elif t is Exists:
         return _solve_exists(a, f, env, want, memo)
     reads = {x.name for x in terms(f) if type(x) is Var} if t in _ATOMIC else _reads(a, f)
@@ -311,12 +311,6 @@ def _join(a: Structure, parts: list, env: dict, want: tuple, memo: dict) -> Iter
             yield True
         else:
             stack.append(_solve(a, parts[len(stack)], env, want, memo))
-
-
-def _union(a: Structure, parts: list, env: dict, want: tuple, memo: dict) -> Iterator[bool]:
-    """Solutions of a disjunction: those of each disjunct in turn."""
-    for g in parts:
-        yield from _solve(a, g, env, want, memo)
 
 
 def _solve_exists(a: Structure, f: Exists, env: dict, want: tuple,
@@ -370,12 +364,6 @@ def _reads(a: Structure, f: Formula) -> set:
     return reads
 
 
-def _ifp_reads(a: Structure, f: Ifp) -> tuple:
-    """The names the body of `f` reads from the assignment, other than
-    f.vars and f.relvar."""
-    return tuple(_reads(a, f.body).difference(f.vars, (f.relvar,)))
-
-
 def ifp_fixpoint(a: Structure, body: Formula, vars: tuple, relvar: str,
                  env: Optional[dict] = None, memo: Optional[dict] = None) -> frozenset:
     """Inflationary iteration X_{i+1} = X_i U {t : body(t, X_i)} until stable.
@@ -393,16 +381,6 @@ def ifp_fixpoint(a: Structure, body: Formula, vars: tuple, relvar: str,
         if len(grown) == len(stage):
             return stage
         stage = grown
-
-
-def _log_prefix(f: Formula):
-    """Peel the leading existential log-quantifiers;
-    returns ([(relvar, arity, k), ...], matrix)."""
-    prefix = []
-    while type(f) is ExistsLog:
-        prefix.append((f.relvar, f.arity, f.k))
-        f = f.body
-    return prefix, f
 
 
 def _j_fiber(n: int, z: str, chunk_width: int) -> Iterator[frozenset]:
@@ -437,7 +415,10 @@ def evaluate_via_bitstrings(u: StringStructure, f: Formula) -> bool:
     """
     if not metrics(f).prenex_existential:
         raise NotPrenex("formula is not an existential log-prefix over an IFP matrix")
-    prefix, matrix = _log_prefix(f)
+    prefix, matrix = [], f
+    while type(matrix) is ExistsLog:
+        prefix.append((matrix.relvar, matrix.arity, matrix.k))
+        matrix = matrix.body
     if any(arity != 2 for _, arity, _ in prefix):
         raise UnsupportedShape("all log-quantified variables must be binary")
     n = u.n

@@ -12,7 +12,6 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
 from .core import Structure, ceil_log, log_pow, mention_set
 from .errors import HypothesisViolated, ResourceLimit, ShapeMismatch
@@ -269,34 +268,24 @@ class _Solver:
         hit = self.exact_memo.get(key)
         if hit is not None:
             return hit
-        result = Winner.DUPLICATOR
-        witness = None
         for side, arity, k, rel in self.spoiler_moves(ea, eb):
             self.charge()
-            if side == "A":
-                ea2 = ea.expanded(arity, rel)
-                other = eb
-            else:
-                eb2 = eb.expanded(arity, rel)
-                other = ea
-            survived = False
+            flip = side == "B"
+            here, other = (eb, ea) if flip else (ea, eb)
+            moved = here.expanded(arity, rel)
             for reply in self.replies(other.base.n, arity, k, rel):
-                if side == "A":
-                    nxt = (ea2, eb.expanded(arity, reply))
-                else:
-                    nxt = (ea.expanded(arity, reply), eb2)
-                if self.wins_exact(nxt[0], nxt[1], moves - 1) is Winner.DUPLICATOR:
-                    survived = True
+                nxt = (moved, other.expanded(arity, reply))
+                if flip:
+                    nxt = nxt[::-1]
+                if self.wins_exact(*nxt, moves - 1) is Winner.DUPLICATOR:
                     break
-            if not survived:
-                result = Winner.SPOILER
-                witness = {"side": side, "arity": arity, "k": k,
-                           "relation": sorted(rel)}
-                break
-        self.exact_memo[key] = result
-        if witness is not None:
-            self.transcript["moves"].append({"moves_left": moves, **witness})
-        return result
+            else:
+                self.exact_memo[key] = Winner.SPOILER
+                self.transcript["moves"].append({"moves_left": moves, "side": side, "arity": arity,
+                                                 "k": k, "relation": sorted(rel)})
+                return Winner.SPOILER
+        self.exact_memo[key] = Winner.DUPLICATOR
+        return Winner.DUPLICATOR
 
 
 def game_winner(a: Structure, b: Structure, params: GameParams,
@@ -355,65 +344,50 @@ def verify_fresh_strategy(a: Structure, b: Structure, params: GameParams) -> boo
             f"need (m+1)*r*s*ceil_log({a.n})**k < {a.n} and equal ceil_log"
         )
 
-    # fwd maps every element the extras mention on A to its image on B, so
-    # its keys and values are the mentioned elements of the two sides
-    def pebble_phase(extras_a, extras_b, fwd: dict) -> bool:
-        back = {v: k for k, v in fwd.items()}
-
-        def respond(pos: frozenset, side: str, x: int) -> Optional[int]:
-            here = dict(pos) if side == "A" else {y: z for z, y in pos}
-            if x in here:
-                return here[x]
-            book, mentioned = (fwd, back) if side == "A" else (back, fwd)
-            if x in book:
-                return book[x]
-            taken = {y for _, y in pos} if side == "A" else {z for z, _ in pos}
-            limit = b.n if side == "A" else a.n
-            for y in range(limit):
-                if y not in mentioned and y not in taken:
-                    return y
-            return None
-
-        table = _pairing(a, extras_a, b, extras_b)
-        expanded: set = set()
-        seen: set = set()
+    # A side of the game is (n_here, book, n_other, flip): its size, the
+    # map from its mentioned elements to their images on the other side,
+    # the other side's size, and whether its pairs are written (other, here).
+    def pebble_phase(table, sides) -> bool:
+        """Play every challenge from every reduced position (one with fewer
+        than s pairs) the strategy reaches: a pebbled element is answered by
+        its partner, a mentioned one by its image, and every other one by
+        the same fresh element, the least one of the other side that is
+        neither mentioned nor pebbled."""
+        seen = {frozenset()}
         stack = [frozenset()]
         while stack:
-            pos = stack.pop()
-            reduced = [pos] if len(pos) < p.s else []
-            reduced += [pos - {pair} for pair in pos]
-            for q in reduced:
-                # respond is deterministic in (q, side, x): expand q once
-                if q in expanded:
-                    continue
-                expanded.add(q)
-                for side, limit in (("A", a.n), ("B", b.n)):
-                    for x in range(limit):
-                        y = respond(q, side, x)
-                        if y is None:
-                            return False
-                        pair = (x, y) if side == "A" else (y, x)
-                        if not _extends(table, a.sig.ordered, q, *pair):
-                            return False
-                        nxt = q | {pair}
-                        if nxt not in seen:
-                            seen.add(nxt)
-                            stack.append(nxt)
+            q = stack.pop()
+            for n_here, book, n_other, flip in sides:
+                partner = {y: x for x, y in q} if flip else dict(q)
+                taken = {*partner.values(), *book.values()}
+                fresh = next((y for y in range(n_other) if y not in taken), None)
+                for x in range(n_here):
+                    y = partner.get(x, book.get(x, fresh))
+                    if y is None:
+                        return False
+                    pair = (y, x) if flip else (x, y)
+                    if not _extends(table, a.sig.ordered, q, *pair):
+                        return False
+                    nxt = q | {pair}
+                    for r in [nxt] * (len(nxt) < p.s) + [nxt - {c} for c in nxt]:
+                        if r not in seen:
+                            seen.add(r)
+                            stack.append(r)
         return True
 
     def relation_phase(extras_a, extras_b, fwd: dict, moves_left: int) -> bool:
+        # fwd maps every element the extras mention on A to its image on B;
         # the spoiler may stop here (any announced count up to m)
-        if not pebble_phase(extras_a, extras_b, fwd):
+        sides = ((a.n, fwd, b.n, False), (b.n, {y: x for x, y in fwd.items()}, a.n, True))
+        if not pebble_phase(_pairing(a, extras_a, b, extras_b), sides):
             return False
         if moves_left == 0:
             return True
         for arity in range(1, p.r + 1):
             for k in range(1, p.k + 1):
-                for side in ("A", "B"):
-                    n_here = a.n if side == "A" else b.n
+                for n_here, mapped, n_other, flip in sides:
                     for rel in enumerate_bounded_relations(n_here, arity, log_pow(n_here, k)):
-                        book = dict(fwd) if side == "A" else {v: k2 for k2, v in fwd.items()}
-                        n_other = b.n if side == "A" else a.n
+                        book = dict(mapped)
                         taken = set(book.values())
                         free = (y for y in range(n_other) if y not in taken)
                         for x in sorted(mention_set(rel)):
@@ -423,15 +397,12 @@ def verify_fresh_strategy(a: Structure, b: Structure, params: GameParams) -> boo
                                     return False
                                 book[x] = y
                         image = frozenset(tuple(book[c] for c in t) for t in rel)
-                        if side == "A":
-                            fwd2 = book
-                            ext_a = extras_a + ((arity, rel),)
-                            ext_b = extras_b + ((arity, image),)
-                        else:
-                            fwd2 = {v: k2 for k2, v in book.items()}
-                            ext_a = extras_a + ((arity, image),)
-                            ext_b = extras_b + ((arity, rel),)
-                        if not relation_phase(ext_a, ext_b, fwd2, moves_left - 1):
+                        moved = ((arity, rel),), ((arity, image),)
+                        if flip:
+                            book = {y: x for x, y in book.items()}
+                            moved = moved[::-1]
+                        if not relation_phase(extras_a + moved[0], extras_b + moved[1],
+                                              book, moves_left - 1):
                             return False
         return True
 

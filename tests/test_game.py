@@ -1,5 +1,6 @@
 """Pebble games, relation moves, strategies, and the sentence sampler."""
 
+import collections
 import importlib
 import itertools
 import random
@@ -297,11 +298,44 @@ def test_partial_isomorphism_matches_oracle():
 
 @pytest.mark.parametrize("params,sizes", [
     ((0, 1, 1, 1), (6, 7)), ((0, 1, 1, 1), (7, 6)), ((0, 1, 1, 2), (7, 8)),
+    ((1, 1, 1, 1), (10, 11)), ((1, 1, 1, 1), (11, 10)),
 ])
 def test_fresh_strategy_matches_oracle(params, sizes):
     a, b = digraph(sizes[0]), digraph(sizes[1])
     p = GameParams(*params)
     assert verify_fresh_strategy(a, b, p) is game_oracle.verify_fresh_strategy(a, b, p) is True
+
+
+@pytest.mark.parametrize("params,sizes", [
+    ((0, 1, 1, 2), (7, 8)), ((1, 1, 1, 1), (10, 11)), ((1, 1, 1, 1), (11, 10)),
+])
+def test_fresh_strategy_answers_every_reached_position(params, sizes, monkeypatch):
+    """The strategy wins on every valid instance, so its verdict alone
+    cannot show a position left out.  Record every answered challenge
+    (its position and reply pair) instead: every pair lies in the two
+    domains, every position reached is challenged on every element of
+    both sides, and the reduced positions after each reply are reached."""
+    module = importlib.import_module("logifp.game")
+    answered = []
+    original = module._extends
+    monkeypatch.setattr(module, "_extends",
+                        lambda table, ordered, q, x, y: answered.append((table, q, (x, y)))
+                        or original(table, ordered, q, x, y))
+    n_a, n_b = sizes
+    p = GameParams(*params)
+    assert verify_fresh_strategy(digraph(n_a), digraph(n_b), p)
+    phases = {}  # the tables are kept alive in `answered`, so their ids differ
+    for table, q, pair in answered:
+        assert 0 <= pair[0] < n_a and 0 <= pair[1] < n_b
+        phases.setdefault(id(table), []).append((q, pair))
+    for replies in phases.values():
+        challenged = collections.Counter(q for q, _ in replies)
+        assert frozenset() in challenged
+        assert set(challenged.values()) == {n_a + n_b}
+        for q, pair in replies:
+            nxt = q | {pair}
+            assert all(r in challenged for r in [nxt] * (len(nxt) < p.s)
+                       + [nxt - {c} for c in nxt])
 
 
 # --- atomic types: single pairs, and tuples that mix a new element with old ones ---
