@@ -4,7 +4,8 @@ second-order quantifiers by enumeration, and the guess-then-check runner.
 An assignment is a plain dict mapping element-variable names to domain
 indices and relation-variable names to frozensets of tuples; the two kinds
 never collide because element variables are lowercase and relation
-variables uppercase.  Every top-level call copies the caller's dict.
+variables uppercase.  No function writes into an assignment it was handed
+or a solution it was given: an extension is always a new dict.
 
 Existential quantifiers, fixed-point stages and interpretation universes
 are built from the satisfying assignments `_solve` generates: an atom
@@ -109,7 +110,7 @@ def _term_value(a: Structure, t, env: dict) -> int:
 
 def evaluate(a: Structure, f: Formula, env: Optional[dict] = None) -> bool:
     """Truth of `f` in `a` under the given assignment."""
-    return _ev(a, f, dict(env) if env else {}, {})
+    return _ev(a, f, env or {}, {})
 
 
 def _relation(a: Structure, name: str, env: dict):
@@ -163,13 +164,11 @@ def _ev(a: Structure, f: Formula, env: dict, memo: dict) -> bool:
     if t is Implies:
         return (not _ev(a, f.left, env, memo)) or _ev(a, f.right, env, memo)
     if t is Exists:
-        old = env.pop(f.var, _MISSING)
+        env = _without(env, f.var)
         try:
-            return next(_solve(a, f.body, env, (f.var,), memo), False)
+            return next(_solve(a, f.body, env, (f.var,), memo), None) is not None
         except _LAZY_ERRORS:
             return _some(a, f.body, env, f.var, range(a.n), True, memo)
-        finally:
-            _restore(env, f.var, old)
     if t is Forall:
         return not _some(a, f.body, env, f.var, range(a.n), False, memo)
     if t is ExistsLog or t is ForallLog:
@@ -193,49 +192,33 @@ def _ev(a: Structure, f: Formula, env: dict, memo: dict) -> bool:
 def _some(a: Structure, body: Formula, env: dict, name: str, values, want: bool,
           memo: dict) -> bool:
     """Whether `body` evaluates to `want` with `name` bound to some of
-    `values`, tried in order; `name` is restored afterwards."""
-    old = env.get(name, _MISSING)
-    try:
-        for value in values:
-            env[name] = value
-            if _ev(a, body, env, memo) == want:
-                return True
-        return False
-    finally:
-        _restore(env, name, old)
-
-
-def _restore(env: dict, name: str, value) -> None:
-    if value is _MISSING:
-        env.pop(name, None)
-    else:
+    `values`, tried in order."""
+    env = dict(env)
+    for value in values:
         env[name] = value
+        if _ev(a, body, env, memo) == want:
+            return True
+    return False
 
 
-def _bind(env: dict, names, rows) -> Iterator[bool]:
-    """Bind `names` to each row of values in turn; unbind them when done."""
-    for row in rows:
-        env.update(zip(names, row))
-        yield True
-    for name in names:
-        env.pop(name, None)
+def _without(env: dict, name: str) -> dict:
+    """`env` with `name` unbound."""
+    return {k: v for k, v in env.items() if k != name} if name in env else env
 
 
-def _solve(a: Structure, f: Formula, env: dict, want: tuple, memo: dict) -> Iterator[bool]:
-    """An iterator that yields once for each extension of `env` under
-    which `f` holds.
+def _solve(a: Structure, f: Formula, env: dict, want: tuple, memo: dict) -> Iterator[dict]:
+    """An iterator over the extensions of `env` under which `f` holds.
 
-    Only names in `want` that are unbound in `env` are bound, in `env`
-    itself; each extension holds while the iterator is suspended at its
-    yield.  A name `f` does not constrain may stay unbound: `f` then holds
-    for every value of it.  An exhausted iterator leaves `env` as it found
-    it; a caller that stops early unbinds the names of `want` itself.
+    Only names in `want` that are unbound in `env` are bound.  Each
+    extension is a dict of its own, or `env` itself where nothing was
+    bound.  A name `f` does not constrain may stay unbound: `f` then holds
+    for every value of it.
     """
     for name in want:
         if name not in env:
             break
     else:  # nothing left to bind: a test
-        return iter((True,) if _ev(a, f, env, memo) else ())
+        return iter((env,) if _ev(a, f, env, memo) else ())
     t = type(f)
     if t is Atom:
         slot, fixed, repeated = {}, [], []
@@ -255,7 +238,7 @@ def _solve(a: Structure, f: Formula, env: dict, want: tuple, memo: dict) -> Iter
         for var, other in ((f.left, f.right), (f.right, f.left)):
             if (type(var) is Var and var.name in want and var.name not in env
                     and not (type(other) is Var and other.name not in env)):
-                return _bind(env, (var.name,), ((_term_value(a, other, env),),))
+                return iter(({**env, var.name: _term_value(a, other, env)},))
     elif t is And:
         return _join(a, _chain(f, And), env, want, memo)
     elif t is Or:
@@ -269,64 +252,55 @@ def _solve(a: Structure, f: Formula, env: dict, want: tuple, memo: dict) -> Iter
 
 
 def _tested(a: Structure, f: Formula, env: dict, names: list, memo: dict,
-            known=()) -> Iterator[bool]:
-    """Bind `names` to every combination of domain elements in turn, the
-    last name fastest, and yield where `f` holds, skipping the
-    combinations in `known`; unbind them when done."""
+            known=()) -> Iterator[dict]:
+    """The extensions of `env` that bind `names` to a combination of domain
+    elements, the last name fastest, under which `f` holds, skipping the
+    combinations in `known`."""
+    ext = dict(env)
     for row in itertools.product(range(a.n), repeat=len(names)):
-        env.update(zip(names, row))
-        if row not in known and _ev(a, f, env, memo):
-            yield True
-    for name in names:
-        env.pop(name, None)
+        ext.update(zip(names, row))
+        if row not in known and _ev(a, f, ext, memo):
+            yield dict(ext)
 
 
 def _scan(a: Structure, f: Atom, env: dict, slot: dict, fixed: list,
-          repeated: list) -> Iterator[bool]:
-    """Bind each name of `slot` to its argument position in every tuple of
-    the relation of `f` that agrees with the values of the `fixed`
-    arguments and repeats the first position of a name at the `repeated`
-    ones."""
+          repeated: list) -> Iterator[dict]:
+    """Extend `env` by each name of `slot` bound to its argument position
+    in every tuple of the relation of `f` that agrees with the values of
+    the `fixed` arguments and repeats the first position of a name at the
+    `repeated` ones."""
     values = [(i, _term_value(a, f.args[i], env)) for i in fixed]
     checked = values or repeated
+    slot = list(slot.items())
     for row in _relation(a, f.name, env):
         if checked and not (all(row[i] == v for i, v in values)
                             and all(row[i] == row[j] for i, j in repeated)):
             continue
-        for name, i in slot.items():
-            env[name] = row[i]
-        yield True
-    for name in slot:
-        env.pop(name, None)
+        ext = dict(env)
+        for name, i in slot:
+            ext[name] = row[i]
+        yield ext
 
 
-def _join(a: Structure, parts: list, env: dict, want: tuple, memo: dict) -> Iterator[bool]:
+def _join(a: Structure, parts: list, env: dict, want: tuple, memo: dict) -> Iterator[dict]:
     """Solutions of a conjunction: one iterator per conjunct, each started
     from a solution of the ones before, kept on a stack."""
     stack = [_solve(a, parts[0], env, want, memo)]
     while stack:
-        if not next(stack[-1], False):
+        if (ext := next(stack[-1], None)) is None:
             stack.pop()
         elif len(stack) == len(parts):
-            yield True
+            yield ext
         else:
-            stack.append(_solve(a, parts[len(stack)], env, want, memo))
+            stack.append(_solve(a, parts[len(stack)], ext, want, memo))
 
 
 def _solve_exists(a: Structure, f: Exists, env: dict, want: tuple,
-                  memo: dict) -> Iterator[bool]:
+                  memo: dict) -> Iterator[dict]:
     """Solutions of the body with its variable hidden from the caller."""
-    old = env.pop(f.var, _MISSING)
-    try:
-        for _ in _solve(a, f.body, env, want if f.var in want else want + (f.var,), memo):
-            inner = env.pop(f.var, _MISSING)
-            _restore(env, f.var, old)
-            yield True
-            _restore(env, f.var, inner)
-    except _LAZY_ERRORS:
-        _restore(env, f.var, old)  # the caller tests again from here
-        raise
-    _restore(env, f.var, old)
+    for ext in _solve(a, f.body, _without(env, f.var),
+                      want if f.var in want else want + (f.var,), memo):
+        yield {**ext, f.var: env[f.var]} if f.var in env else _without(ext, f.var)
 
 
 def satisfying(a: Structure, f: Formula, names: tuple, env: Optional[dict] = None,
@@ -334,22 +308,19 @@ def satisfying(a: Structure, f: Formula, names: tuple, env: Optional[dict] = Non
     """`known` and the tuples of values of `names` under which `f` holds in
     `a`, the other free names taken from `env`.  The tuples of `known` are
     taken to satisfy `f` and are not tested again."""
-    env = dict(env) if env else {}
-    for name in names:
-        env.pop(name, None)
+    env = {k: v for k, v in env.items() if k not in names} if env else {}
     memo = {} if memo is None else memo
     found = set(known)
     try:
-        for _ in _solve(a, f, env, tuple(names), memo):
-            unbound = [name for name in names if name not in env]
-            for _ in _bind(env, unbound, itertools.product(range(a.n), repeat=len(unbound))):
-                found.add(tuple(env[name] for name in names))
+        for ext in _solve(a, f, env, tuple(names), memo):
+            unbound = [name for name in names if name not in ext]
+            for row in itertools.product(range(a.n), repeat=len(unbound)):
+                full = {**ext, **dict(zip(unbound, row))}
+                found.add(tuple(full[name] for name in names))
     except _LAZY_ERRORS:
-        for name in names:
-            env.pop(name, None)
         found = set(known)
-        for _ in _tested(a, f, env, list(names), memo, known):
-            found.add(tuple(env[name] for name in names))
+        for ext in _tested(a, f, env, list(names), memo, known):
+            found.add(tuple(ext[name] for name in names))
     return frozenset(found)
 
 
@@ -372,12 +343,11 @@ def ifp_fixpoint(a: Structure, body: Formula, vars: tuple, relvar: str,
     `memo` holds the fixed points already computed in the enclosing
     evaluation.
     """
-    env = dict(env) if env else {}
+    env = env or {}
     memo = {} if memo is None else memo
     stage = frozenset()
     while True:
-        env[relvar] = stage
-        grown = satisfying(a, body, vars, env, memo, stage)
+        grown = satisfying(a, body, vars, {**env, relvar: stage}, memo, stage)
         if len(grown) == len(stage):
             return stage
         stage = grown
@@ -436,10 +406,8 @@ def evaluate_via_bitstrings(u: StringStructure, f: Formula) -> bool:
             for bits in itertools.product("01", repeat=count * chunk_width):
                 z = "".join(bits)
                 for rel in _j_fiber(n, z, chunk_width):
-                    env[relvar] = rel
-                    if assign(rest[1:], env):
+                    if assign(rest[1:], {**env, relvar: rel}):
                         return True
-        env.pop(relvar, None)
         return False
 
     memo: dict = {}

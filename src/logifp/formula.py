@@ -2,11 +2,10 @@
 
 Grammar (ASCII):
 
-    formula := quant | binary
+    formula := chain of & | -> over unary, precedence ! > & > | > ->
+    unary   := quant | "!" unary | atom | "(" formula ")" | ifp
     quant   := ("A"|"E") var "." formula
              | ("E2log[" int "]" | "A2log[" int "]") RELVAR ":" int "." formula
-    binary  := chain of & | -> over unary, precedence ! > & > | > ->
-    unary   := "!" unary | atom | "(" formula ")" | ifp
     ifp     := "ifp[" RELVAR "(" vars ")" "<-" formula "](" terms ")"
     atom    := NAME "(" terms ")" | term "=" term | term "<" term
              | "BIT(" term "," term ")"
@@ -327,10 +326,9 @@ class _Parser:
         return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
 
     def next(self):
-        tok = self.tokens[self.i]
-        if tok[0] != "eof":
-            self.i += 1
-        return tok
+        # only called after a peek that matched a token other than eof
+        self.i += 1
+        return self.tokens[self.i - 1]
 
     def expect(self, value):
         kind, val, pos = self.peek()
@@ -342,11 +340,8 @@ class _Parser:
         kind, val, pos = self.peek()
         raise FormulaSyntaxError(pos, expected, val or "end of input")
 
-    # formula := quant | binary (implication is right-associative)
+    # implication is right-associative
     def formula(self):
-        q = self.try_quantifier()
-        if q is not None:
-            return q
         left = self.or_level()
         if self.peek()[1] == "->":
             self.next()

@@ -251,7 +251,7 @@ class _Solver:
                 relabel = {x: i for i, x in enumerate(mentioned)}
             else:
                 relabel = {x: x for x in mentioned}
-            if len(relabel) <= n_other and all(v < n_other for v in relabel.values()):
+            if len(relabel) <= n_other:
                 cand = frozenset(tuple(relabel[c] for c in t) for t in rel)
                 seen.add(cand)
                 yield cand

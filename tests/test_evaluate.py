@@ -4,6 +4,7 @@ string-based evaluation paths."""
 import importlib
 import itertools
 import random
+from types import MappingProxyType
 
 import eval_oracle
 import pytest
@@ -20,12 +21,15 @@ from logifp.errors import (
     UnsupportedShape,
 )
 from logifp.evaluate import (
+    _ev,
     _j_fiber,
+    _solve,
     enumerate_bounded_relations,
     evaluate,
     evaluate_via_bitstrings,
     gc_check,
     ifp_fixpoint,
+    satisfying,
 )
 from logifp.formula import (
     Eq,
@@ -174,6 +178,74 @@ def test_evaluation_agrees_with_oracle_on_random_formulas(strings):
         got = outcome(ifp_fixpoint, *args)
         expected = outcome(eval_oracle.ifp_fixpoint, *args)
         assert agrees(got, expected, lambda: outcome(eval_oracle.kleene_fixpoint, *args)), pretty(f)
+
+
+@pytest.mark.parametrize("strings", [True, False])
+def test_solve_yields_the_satisfying_extensions(strings):
+    """Each solution _solve yields for x and y is a new dict extending the
+    read-only assignment by some of them, or that assignment itself, under
+    which the oracle finds the formula true for every value of the wanted
+    names it leaves unbound; together the solutions cover every pair the
+    oracle finds true."""
+    rng = random.Random(23 if strings else 24)
+    want = ("x", "y")
+    for _ in range(1500):
+        f = _random_formula(rng, rng.randint(1, 5))
+        logs = any(type(g) in (ExistsLog, ForallLog) for g, _, _, _ in walk(f))
+        n = rng.randint(1, 2 if logs else 4)
+        edges = frozenset((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3)))
+        env = {v: rng.randrange(n) for v in "xyz" if rng.random() < 0.5}
+        if not strings:
+            u = digraph(n, edges)
+        else:
+            u = from_text("".join(rng.choice("01") for _ in range(n)))
+            if rng.random() < 0.7:
+                env["E"] = edges
+        frozen = MappingProxyType(env)
+        solutions = outcome(lambda: list(_solve(u, f, frozen, want, {})))
+        if solutions in eval_oracle.LAZY:
+            continue  # the callers of _solve test binding by binding instead
+        found = set()
+        for solution in solutions:
+            assert type(solution) is dict or solution is frozen, pretty(f)
+            assert env.items() <= solution.items() and set(solution) <= set(env) | set(want)
+            unbound = [name for name in want if name not in solution]
+            for row in itertools.product(range(n), repeat=len(unbound)):
+                full = {**solution, **dict(zip(unbound, row))}
+                expected = outcome(eval_oracle.evaluate, u, f, full)
+                assert agrees(True, expected,
+                              lambda: outcome(eval_oracle.decided, u, f, full)), pretty(f)
+                found.add((full["x"], full["y"]))
+        for x, y in itertools.product(range(n), repeat=2):
+            full = {"x": x, "y": y, **env}
+            if (full["x"], full["y"]) != (x, y):
+                continue  # not an extension of env
+            expected = outcome(eval_oracle.evaluate, u, f, full)
+            if expected in eval_oracle.LAZY:
+                expected = outcome(eval_oracle.decided, u, f, full)
+            if expected is True or expected is False:
+                assert ((x, y) in found) == expected, pretty(f)
+
+
+@pytest.mark.parametrize("text,env,expected", [
+    ("Ex.((x=1 & y=y) | x=0)", {}, True),  # generation meets the unbound y
+    ("Ex.((x=1 & y=y) | x=0)", {"x": 1}, True),
+    ("Ex.x=y & Ax.(x<y | x=y | E(x,y))", {"x": 0, "y": 1, "E": frozenset()}, True),
+    ("E2log[1] X:1 . Ey.(X(y) & !X(x))", {"x": 0}, True),
+    ("ifp[Y(u) <- u=x | Ez.(Y(z) & z<u)](y)", {"x": 1, "y": 0}, False),
+])
+def test_assignments_are_only_read(text, env, expected):
+    """_ev, satisfying and ifp_fixpoint take a read-only assignment, also
+    where an error met by generation makes them test binding by binding."""
+    u, f = from_text("01"), parse_formula(text)
+    frozen = MappingProxyType(dict(env))
+    assert _ev(u, f, frozen, {}) is expected
+    assert satisfying(u, f, ("x", "y"), frozen) \
+        == frozenset(p for p in itertools.product(range(2), repeat=2)
+                     if eval_oracle.evaluate(u, f, {**env, "x": p[0], "y": p[1]}))
+    assert ifp_fixpoint(u, f, ("y",), "E", frozen) \
+        == eval_oracle.ifp_fixpoint(u, f, ("y",), "E", env)
+    assert dict(frozen) == env
 
 
 def test_log_quantifier_cannot_cover_larger_domain():

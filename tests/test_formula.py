@@ -125,6 +125,25 @@ def test_syntax_errors_carry_position():
         parse_formula("")
     with pytest.raises(FormulaSyntaxError):
         parse_formula("x @ y")
+    # malformed quantifiers, whether they start the formula or an operand
+    for text, position, expected, found in [
+        ("Ex.", 3, "a term", "end of input"),
+        ("(Ex. x=x", 8, "')'", "end of input"),
+        ("Ex. x=x )", 8, "end of input", ")"),
+        ("E2log[1] x:1 . x=x", 9, "a relation variable", "x"),
+        ("E2log[x] X:1 . x=x", 6, "an integer exponent", "x"),
+        ("A2log[1] X:1 X(x)", 13, "'.'", "X"),
+        ("E2log[1] X:0 . x=x", 0, "arity >= 1", "0"),
+        ("Ax.Ey.", 6, "a term", "end of input"),
+        ("E x .", 5, "a term", "end of input"),
+        ("!Ex.", 4, "a term", "end of input"),
+        ("Ex. x=x & Ey.", 13, "a term", "end of input"),
+        ("Ex. x=x -> ", 11, "a term", "end of input"),
+    ]:
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_formula(text)
+        assert (exc.value.position, exc.value.expected, exc.value.found) \
+            == (position, expected, found), text
 
 
 def test_validate_free_variables():
