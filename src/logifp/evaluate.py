@@ -1,11 +1,13 @@
 """Model checking: FO semantics, inflationary fixed points, log-bounded
-second-order quantifiers by enumeration, and the guess-then-check runner.
+second-order quantifiers by a search over the tuples their body reads, and
+the guess-then-check runner.
 
 An assignment is a plain dict mapping element-variable names to domain
-indices and relation-variable names to frozensets of tuples; the two kinds
-never collide because element variables are lowercase and relation
-variables uppercase.  No function writes into an assignment it was handed
-or a solution it was given: an extension is always a new dict.
+indices and relation-variable names to relations (frozensets of tuples,
+or a `_Partial` during the search); the two kinds never collide because
+element variables are lowercase and relation variables uppercase.  No
+function writes into an assignment it was handed or a solution it was
+given: an extension is always a new dict.
 
 Existential quantifiers, fixed-point stages and interpretation universes
 are built from the satisfying assignments `_solve` generates: an atom
@@ -13,10 +15,18 @@ scans its relation, `x = t` binds x, conjunctions thread solutions left
 to right, disjunctions chain them, and any other formula pads its unbound
 variables from the domain and is tested.
 
+`E2log`/`A2log` branch on the tuples the body reads (`_search`): the body
+is evaluated under a relation that is fixed on the tuples answered so far
+and empty elsewhere, and each tuple it asks about without an answer
+splits the rest of the search.  Where that meets an `OutOfRange`,
+`UnboundVariable` or `OrderUsedUnordered` error, the relations are
+enumerated in `enumerate_bounded_relations` order instead.
+
 Each top-level call also creates one memo dict, passed down explicitly,
 that holds the fixed points computed so far, keyed by the Ifp node and
 the values of the names its body reads from the assignment, so the memo
-lives as long as that call.
+lives as long as that call.  A fixed point keyed on a node of the search
+lives in that node's `_Memo` and dies with it.
 """
 
 from __future__ import annotations
@@ -173,8 +183,11 @@ def _ev(a: Structure, f: Formula, env: dict, memo: dict) -> bool:
         return not _some(a, f.body, env, f.var, range(a.n), False, memo)
     if t is ExistsLog or t is ForallLog:
         want = t is ExistsLog
-        rels = enumerate_bounded_relations(a.n, f.arity, log_pow(a.n, f.k))
-        return _some(a, f.body, env, f.relvar, rels, want, memo) == want
+        try:
+            return _search(a, f, env, want, memo) == want
+        except _LAZY_ERRORS:
+            rels = enumerate_bounded_relations(a.n, f.arity, log_pow(a.n, f.k))
+            return _some(a, f.body, env, f.relvar, rels, want, memo) == want
     if t is Ifp:
         reads = memo.get(f)
         if reads is None:
@@ -199,6 +212,101 @@ def _some(a: Structure, body: Formula, env: dict, name: str, values, want: bool,
         if _ev(a, body, env, memo) == want:
             return True
     return False
+
+
+class _Partial:
+    """A node of `_search`: the relation that holds `members` and no other
+    tuple.  A membership test records each tuple of its arity that neither
+    the node nor an ancestor answered in `reads`, in the order first asked;
+    a scan reads every tuple, and the ones not asked before follow in
+    order when the children are built.  `index` maps each tuple recorded
+    to its place in `reads`, or to -1 where an ancestor answered it "out".
+    Child `cut` of `parent` answers the parent's reads before place `cut`
+    "out" and the one at it "in"."""
+
+    __slots__ = ("members", "parent", "cut", "n", "arity", "reads", "index", "scanned")
+
+    def __init__(self, members: frozenset, parent, cut: int, n: int, arity: int):
+        self.members, self.parent, self.cut, self.n, self.arity = members, parent, cut, n, arity
+        self.reads, self.index, self.scanned = [], {}, False
+
+    def __contains__(self, t) -> bool:
+        if t in self.members:
+            return True
+        if not self.scanned and t not in self.index and len(t) == self.arity:
+            self._ask(t)
+        return False
+
+    def __iter__(self):
+        self.scanned = True
+        return iter(self.members)
+
+    def _ask(self, t: tuple) -> None:
+        # the nearest ancestor that indexed t decides: this branch answered
+        # it "out" there if it came before the cut the branch took
+        node, place = self, None
+        while place is None and node.parent is not None:
+            place, cut, node = node.parent.index.get(t), node.cut, node.parent
+        if place is not None and place < cut:
+            self.index[t] = -1
+        else:
+            self.index[t] = len(self.reads)
+            self.reads.append(t)
+
+    def children(self) -> Iterator[_Partial]:
+        if self.scanned:
+            for t in itertools.product(range(self.n), repeat=self.arity):
+                if t not in self.members and t not in self.index:
+                    self._ask(t)
+        for cut, t in enumerate(self.reads):
+            yield _Partial(self.members | {t}, self, cut, self.n, self.arity)
+
+
+class _Memo(dict):
+    """The memo of one node of `_search`: it keeps the fixed points keyed
+    on the node's relation and hands every other entry to the memo of the
+    enclosing evaluation, which the whole search shares."""
+
+    __slots__ = ("outer", "rel")
+
+    def __init__(self, outer: dict, rel: _Partial):
+        self.outer, self.rel = outer, rel
+
+    def get(self, key):
+        if type(key) is tuple and self.rel in key:
+            return dict.get(self, key)
+        return self.outer.get(key)
+
+    def __setitem__(self, key, value):
+        if type(key) is tuple and self.rel in key:
+            dict.__setitem__(self, key, value)
+        else:
+            self.outer[key] = value
+
+
+def _search(a: Structure, f: Formula, env: dict, want: bool, memo: dict) -> bool:
+    """Whether the body of the log quantifier `f` evaluates to `want` under
+    some relation of at most log_pow(n, k) tuples.
+
+    Each node evaluates the body once.  Evaluation is deterministic given
+    the answers, so the value holds for every relation that agrees with
+    the node on the tuples it read, and the children of a node with fewer
+    members than the bound split the other relations among them.  Nodes
+    are visited fewest members first, children in read order, and a level
+    is built only when it is reached.
+    """
+    bound = log_pow(a.n, f.k)
+    level = [_Partial(frozenset(), None, 0, a.n, f.arity)]
+    while True:
+        parents = []
+        for node in level:
+            if _ev(a, f.body, {**env, f.relvar: node}, _Memo(memo, node)) == want:
+                return True
+            if len(node.members) < bound:
+                parents.append(node)
+        if not parents:
+            return False
+        level = (child for node in parents for child in node.children())
 
 
 def _without(env: dict, name: str) -> dict:

@@ -51,6 +51,14 @@ def test_eval_inline_string(files, capsys):
     assert code == 0 and "result: true" in out
 
 
+def test_eval_a2log_on_sixteen_letters(capsys):
+    # 177 M bounded relations: the search answers from the few tuples the body reads
+    code, out = run(["eval", "--string", "1101001110100101",
+                     "--formula", "A2log[1] X:2 . Ex.(P1(x) & !X(x,x))"], capsys)
+    assert code == 0
+    assert out == "result: true\n"
+
+
 def test_check_reports_metrics(files, capsys):
     code, out = run(["--format", "machine", "check", "--sig", files["sig"],
                      "--formula",

@@ -3,6 +3,7 @@ string-based evaluation paths."""
 
 import importlib
 import itertools
+import math
 import random
 from types import MappingProxyType
 
@@ -32,12 +33,19 @@ from logifp.evaluate import (
     satisfying,
 )
 from logifp.formula import (
+    And,
+    Atom,
     Eq,
     Exists,
     ExistsLog,
+    Forall,
     ForallLog,
+    Ifp,
+    Implies,
     Less,
     Lit,
+    Not,
+    Or,
     Var,
     conj,
     disj,
@@ -267,6 +275,158 @@ def test_log_quantifier_on_singleton_domain():
     a = digraph(1, set())
     assert not evaluate(a, parse_formula("E2log[1] X:1 . Ey. X(y)"))
     assert evaluate(a, parse_formula("E2log[1] X:1 . Ey. !X(y)"))
+
+
+def _random_term(rng, vars_):
+    return Lit(rng.randrange(3)) if rng.random() < 0.05 else Var(rng.choice(vars_))
+
+
+def _random_log_formula(rng, depth, base, rels, vars_=("x", "y", "z"), logs=1):
+    """A random formula over the structure's relation `base` (name, arity)
+    and the relation variables `rels` (name -> arity) in scope, which its
+    atoms read more often than `base`; at most `logs` nested log
+    quantifiers bind X or Y, and a fixed point Z over u, v reads the
+    relations in scope."""
+    if depth <= 0:
+        kind = rng.randrange(10)
+        if kind < 4 and rels:
+            name = rng.choice(sorted(rels))
+            return Atom(name, tuple(_random_term(rng, vars_) for _ in range(rels[name])))
+        if kind < 6:
+            return Atom(base[0], tuple(Var(rng.choice(vars_)) for _ in range(base[1])))
+        if kind < 9:
+            return Eq(Var(rng.choice(vars_)), _random_term(rng, vars_))
+        return Less(Var(rng.choice(vars_)), Var(rng.choice(vars_)))
+    kind = rng.randrange(8)
+
+    def sub(rels=rels, vars_=vars_, logs=logs):
+        return _random_log_formula(rng, depth - 1, base, rels, vars_, logs)
+    if kind == 0:
+        return Not(sub())
+    if kind <= 2:
+        return rng.choice((And, Or, Implies))(sub(), sub())
+    if kind <= 4:
+        return rng.choice((Exists, Forall))(rng.choice(vars_), sub())
+    if kind == 5 and logs:
+        name, arity = rng.choice("XY"), rng.randint(1, 2)
+        return rng.choice((ExistsLog, ForallLog))(1, name, arity,
+                                                 sub({**rels, name: arity}, logs=logs - 1))
+    body = sub({**rels, "Z": 2}, vars_ + ("u", "v"))
+    return Ifp(("u", "v"), "Z", body, tuple(Var(rng.choice(vars_)) for _ in range(2)))
+
+
+@pytest.mark.parametrize("strings", [True, False])
+def test_log_search_agrees_with_ordered_enumeration(strings):
+    """E2log/A2log sentences whose bodies read the quantified relation,
+    nest a second log quantifier or read it in a fixed point, against the
+    oracle that enumerates the relations in order; where the oracle meets
+    an error, the search may answer only what three-valued logic decides."""
+    rng = random.Random(31 if strings else 32)
+    base = ("P1", 1) if strings else ("E", 2)
+    answered = 0
+    for _ in range(3000):
+        arity = rng.randint(1, 2)
+        quant = rng.choice((ExistsLog, ForallLog))
+        f = quant(1, "X", arity, _random_log_formula(rng, rng.randint(1, 4), base, {"X": arity}))
+        n = rng.randint(1, 4 if arity == 1 else 3)
+        if strings:
+            u = from_text("".join(rng.choice("01") for _ in range(n)))
+        else:
+            u = digraph(n, {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3))})
+        env = {v: rng.randrange(n) for v in "xyz" if rng.random() < 0.9}
+        got = outcome(evaluate, u, f, env)
+        expected = outcome(eval_oracle.evaluate, u, f, env)
+        assert agrees(got, expected, lambda: outcome(eval_oracle.decided, u, f, env)), pretty(f)
+        answered += type(got) is bool
+    assert answered > 1500
+
+
+def test_log_search_witness_comes_before_a_later_error():
+    # enumeration tries {0} before {1} and meets the unbound z; the search
+    # reads X(1) first, so its first child {1} is a witness, and
+    # three-valued logic agrees that the sentence holds
+    u, f = from_text("01"), parse_formula("E2log[1] X:1 . (X(1) | (X(0) & z=z))")
+    with pytest.raises(UnboundVariable):
+        eval_oracle.evaluate(u, f)
+    assert eval_oracle.kleene(u, f) is True
+    assert evaluate(u, f) is True
+    # where the search meets an error first, the quantifier is redone in
+    # enumeration order: here the search's first child {1} meets z, and
+    # enumeration finds the witness {0} before it
+    f = parse_formula("E2log[1] X:1 . ((X(1) & z=z) | X(0))")
+    assert eval_oracle.evaluate(u, f) is True
+    assert evaluate(u, f) is True
+    with pytest.raises(UnboundVariable):
+        evaluate(u, parse_formula("E2log[1] X:1 . (X(0) & z=z)"))
+
+
+@pytest.mark.parametrize("text,string,answer", [
+    ("A2log[1] X:2 . Ex.(P1(x) & !X(x,x))", "1[1]11", True),
+    ("E2log[1] X:2 . Au.Av.((X(u,v) -> (P1(u) & P0(v))) & ((P1(u) & P0(v)) -> X(u,v)))",
+     "0101", False),
+    ("E2log[2] X:2 . (Ax.Ay.(X(x,y) -> x<y) & Ex.Ey.(X(x,y) & P1(x) & P0(y)))", "01100110",
+     True),
+    ("A2log[1] X:2 . Ex.Ey.(P1(x) & P0(y)"
+     " & !ifp[Y(a,b) <- X(a,b) | Ec.(X(a,c) & Y(c,b))](x,y))", "01101001", True),
+    ("E2log[1] X:2 . Eu.Ev.(X(u,v) & P1(u))", "00000001", True),
+])
+def test_log_search_evaluates_the_body_at_most_as_often_as_enumeration(
+        monkeypatch, text, string, answer):
+    """An exhaustive search evaluates the body at most once per bounded
+    relation, a witnessed one at most once per relation no larger than
+    the smallest witness."""
+    ev = importlib.import_module("logifp.evaluate")
+    u, f = from_text(string), parse_formula(text)
+    want, bound = type(f) is ExistsLog, log_pow(u.n, f.k)
+    original, calls = ev._ev, []
+
+    def counting(a, g, env, memo):
+        if g is f.body:
+            calls.append(1)
+        return original(a, g, env, memo)
+    monkeypatch.setattr(ev, "_ev", counting)
+    assert evaluate(u, f) is answer
+    monkeypatch.undo()
+    size = bound
+    if answer == want:  # witnessed
+        size = next(len(rel) for rel in enumerate_bounded_relations(u.n, f.arity, bound)
+                    if _ev(u, f.body, {f.relvar: rel}, {}) == want)
+    assert 0 < len(calls) <= sum(math.comb(u.n ** f.arity, i) for i in range(size + 1))
+
+
+def test_ifp_memo_under_the_log_search(monkeypatch):
+    """A fixed point that does not read the quantified relation is computed
+    once for the whole search, one that reads it at most once per node,
+    and no memo entry keyed on a node's relation outlives the node."""
+    ev = importlib.import_module("logifp.evaluate")
+    relations, bodies = [], []
+    original, original_ev = ev.ifp_fixpoint, ev._ev
+    monkeypatch.setattr(ev, "ifp_fixpoint",
+                        lambda *args: relations.append(args[4].get("X")) or original(*args))
+    free = parse_formula("A2log[1] X:2 . Ex.Ey.(!X(x,y)"
+                         " & ifp[Y(u,v) <- E(u,v) | Ez.(E(u,z) & Y(z,v))](x,y))")
+
+    def counting(a, g, env, memo):
+        bodies.append(g is free.body)
+        return original_ev(a, g, env, memo)
+    monkeypatch.setattr(ev, "_ev", counting)
+    memo = {}
+    assert _ev(digraph(4, {(0, 1), (1, 2), (2, 3)}), free, {}, memo)
+    assert len(relations) == 1 and sum(bodies) > 1
+    assert [key for key in memo if type(key) is tuple] == [(free.body.body.body.right,)]
+    monkeypatch.setattr(ev, "_ev", original_ev)
+
+    reads = parse_formula("E2log[1] X:2 . Ax.Ay.(E(x,y) -> "
+                          "ifp[Y(u,v) <- X(u,v) | Ez.(X(u,z) & Y(z,v))](x,y))")
+    rng = random.Random(14)
+    for _ in range(25):
+        n = rng.randint(2, 4)
+        a = digraph(n, _random_digraph(rng, n))
+        relations.clear()
+        memo = {}
+        assert _ev(a, reads, {}, memo) == eval_oracle.evaluate(a, reads)
+        assert len({id(rel) for rel in relations}) == len(relations)
+        assert [key for key in memo if type(key) is tuple] == []
 
 
 def test_ifp_transitive_closure_path():
