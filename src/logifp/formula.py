@@ -571,21 +571,6 @@ class Metrics:
     num_element_vars: int
 
 
-def lqr(f: Formula) -> int:
-    return metrics(f).lqr
-
-
-def height(f: Formula) -> int:
-    return metrics(f).height
-
-
-def element_variables(f: Formula) -> frozenset:
-    out: set[str] = set()
-    for g, _, _, _ in walk(f):
-        _element_names(g, out)
-    return frozenset(out)
-
-
 def metrics(f: Formula, sig: Signature | None = None) -> Metrics:
     """mva counts relation variables that are free or log-quantified;
     names belonging to `sig` (when given) are relations, not variables.

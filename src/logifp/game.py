@@ -2,13 +2,14 @@
 separation demonstration.
 
 Positions of the pebble game are frozensets of (left, right) element pairs
-of size at most s; the duplicator wins the safety objective computed by
-greatest-fixed-point elimination of positions the spoiler can break.
+of size at most s; the game is solved by colour refinement of the s-tuples
+of both structures together.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -147,59 +148,75 @@ def _partial_isos(table, ordered: bool, na: int, nb: int, s: int) -> set:
     return out
 
 
-def _challenges(p: frozenset, s: int):
-    """The challenges the position p answers.  A challenge (q, side, x) is
-    the spoiler placing a pebble on element x of side 0 (left) or 1
-    (right) from the reduced position q; p answers it when p = q | {pair}
-    for the pair of p that has x on that side."""
-    for pair in p:
-        q = p - {pair}
-        yield q, 0, pair[0]
-        yield q, 1, pair[1]
-        if len(p) < s:
-            yield p, 0, pair[0]
-            yield p, 1, pair[1]
+def _stable_colours(table, ordered: bool, n_a: int, n_b: int, s: int) -> list:
+    """Stable colours of both sides' s-tuples from one palette, a flat list
+    per side in itertools.product order: s-dimensional Weisfeiler-Leman
+    refinement without counting (Immerman & Lander 1990).  The first colour
+    is the atomic type: equalities, the order if any, and every relation on
+    every map of its arguments into the s coordinates.  Each round adds,
+    per coordinate, the set of colours of the tuples that replace it with
+    each element; refinement stops when no class splits."""
+    compare = operator.lt if ordered else operator.eq
+    pairs = [(i, j) for i in range(s) for j in range(s) if i < j or ordered and i != j]
+    maps = [(row, m) for row in table for m in itertools.product(range(s), repeat=row[0])]
+    keys, lines = [], []
+    for side, n in ((1, n_a), (2, n_b)):
+        cols = list(zip(*itertools.product(range(n), repeat=s)))
+        bits = [map(compare, cols[i], cols[j]) for i, j in pairs]
+        bits += [map(row[side].__contains__, zip(*[cols[i] for i in m])) for row, m in maps]
+        keys.append(list(zip(*bits)) or [()] * n ** s)
+        # the tuples that differ only in coordinate s - 1 - e lie n ** e apart
+        lines.append([[slice(lo, lo + n * step, step) for block in range(0, n ** s, n * step)
+                       for lo in range(block, block + step)]
+                      for step in (n ** e for e in range(s))])
+    classes = 0
+    while True:
+        palette: dict = {}
+        ids = itertools.count()
+        colours = [list(map(palette.setdefault, k, ids)) for k in keys]
+        if len(palette) == classes:
+            return colours
+        classes = len(palette)
+        keys = []
+        for c, side_lines, n in zip(colours, lines, (n_a, n_b)):
+            sets = []
+            for coordinate in side_lines:
+                col = c[:]
+                for line in coordinate:
+                    col[line] = [frozenset(c[line])] * n
+                sets.append(col)
+            keys.append(list(zip(c, *sets)))
+
+
+def _solve(ea: ExpandedStructure, eb: ExpandedStructure, s: int) -> tuple:
+    """The winner of the s-pebble game, with the pairing table and the
+    stable colours it was read from: the duplicator wins exactly when both
+    sides realise the same colours on their diagonal tuples (x, ..., x)."""
+    a, b = ea.base, eb.base
+    table = _pairing(a, ea.extras, b, eb.extras)
+    colours = _stable_colours(table, a.sig.ordered, a.n, b.n, s)
+    diagonals = [set(c[::sum(n ** e for e in range(s))]) for c, n in zip(colours, (a.n, b.n))]
+    winner = Winner.DUPLICATOR if diagonals[0] == diagonals[1] else Winner.SPOILER
+    return winner, table, colours
 
 
 def pebble_game_winner(ea: ExpandedStructure, eb: ExpandedStructure, s: int):
-    """Solve the s-pebble game: the surviving positions are the greatest
-    set of partial isomorphisms of size <= s in which every challenge from
-    every reduced position (the position itself if it has fewer than s
-    pairs, and the position less one pair) has a surviving reply.
-
-    Worklist algorithm for safety games: each challenge keeps a count of
-    its surviving replies; removing a position decrements the counts of
-    the challenges it answers, and a count reaching zero removes the
-    challenged position q and every position one pair larger than q.  Each
-    position is removed at most once, so the cost is linear in the number
-    of positions times (s + na + nb).
-
-    Returns (winner, surviving positions).
-    """
+    """Solve the s-pebble game.  Returns (winner, surviving positions): the
+    empty position if the duplicator wins, and each other partial
+    isomorphism whose padded tuples (its pairs sorted, the last repeated up
+    to s pairs) get the same stable colour on both sides."""
     if s < 1:
         raise ShapeMismatch(f"s = {s} < 1")
+    winner, table, (ca, cb) = _solve(ea, eb, s)
     a, b = ea.base, eb.base
-    table = _pairing(a, ea.extras, b, eb.extras)
-    survivors = _partial_isos(table, a.sig.ordered, a.n, b.n, s)
-    live: dict = {}
-    above: dict = {}
-    for p in survivors:
-        for c in _challenges(p, s):
-            live[c] = live.get(c, 0) + 1
-        for pair in p:
-            above.setdefault(p - {pair}, []).append(p)
-    broken = [q for q in survivors if len(q) < s and not all(
-        (q, side, x) in live for side, n in ((0, a.n), (1, b.n)) for x in range(n))]
-    while broken:
-        q = broken.pop()
-        for p in [q, *above.get(q, ())]:
-            if p in survivors:
-                survivors.remove(p)
-                for c in _challenges(p, s):
-                    live[c] -= 1
-                    if not live[c]:
-                        broken.append(c[0])
-    winner = Winner.DUPLICATOR if frozenset() in survivors else Winner.SPOILER
+    survivors = {frozenset()} if winner is Winner.DUPLICATOR else set()
+    for p in _partial_isos(table, a.sig.ordered, a.n, b.n, s) - {frozenset()}:
+        pairs = sorted(p)
+        ia = ib = 0
+        for x, y in pairs + pairs[-1:] * (s - len(pairs)):
+            ia, ib = ia * a.n + x, ib * b.n + y
+        if ca[ia] == cb[ib]:
+            survivors.add(p)
     return winner, survivors
 
 
@@ -225,8 +242,7 @@ class _Solver:
         hit = self.pebble_memo.get(key)
         if hit is None:
             self.charge(ea.base.n * eb.base.n)
-            hit, _ = pebble_game_winner(ea, eb, self.params.s)
-            self.pebble_memo[key] = hit
+            hit = self.pebble_memo[key] = _solve(ea, eb, self.params.s)[0]
         return hit
 
     def spoiler_moves(self, ea: ExpandedStructure, eb: ExpandedStructure):
@@ -324,17 +340,13 @@ def even_instance(params: GameParams) -> tuple[int, int]:
         n += 2
 
 
-def _is_edgeless(a: Structure) -> bool:
-    return all(not ts for ts in a.rels.values())
-
-
 def verify_fresh_strategy(a: Structure, b: Structure, params: GameParams) -> bool:
     """Exhaustively check the fresh-element duplicator strategy on a pair
     of edgeless structures: newly mentioned elements map to fresh ones, the
     reply relation is the image under that map, and the pebble phase pairs
     mentioned with mentioned and fresh with fresh."""
     p = params
-    if not (_is_edgeless(a) and _is_edgeless(b)):
+    if any(a.rels.values()) or any(b.rels.values()):
         raise HypothesisViolated("structures must be edgeless")
     if a.sig.ordered or b.sig.ordered:
         raise HypothesisViolated("strategy is for unordered structures")

@@ -4,6 +4,10 @@ the incremental extension check and the counter-based solver: every
 position is re-checked from scratch and the solver eliminates positions
 round by round.  Kept as a differential oracle for tests/test_game.py.
 
+Also holds worklist_pebble_game_winner, the counter-based solver over
+positions that the colour refinement of s-tuples replaced, as a second
+oracle.
+
 Also holds game_winner_stop_early, the reading of the relation-move game
 in which the spoiler may stop the relation phase at any point; only the
 test that both readings have the same winner uses it.
@@ -15,7 +19,8 @@ from typing import Optional
 from logifp.core import ceil_log, log_pow, mention_set
 from logifp.errors import HypothesisViolated, ShapeMismatch
 from logifp.evaluate import enumerate_bounded_relations
-from logifp.game import ExpandedStructure, Winner, _Solver
+from logifp import game
+from logifp.game import ExpandedStructure, Winner, _Solver, _pairing
 
 
 def mention_union(relations) -> frozenset:
@@ -116,6 +121,52 @@ def pebble_game_winner(ea: ExpandedStructure, eb: ExpandedStructure, s: int):
         if dead:
             survivors.difference_update(dead)
             changed = True
+    winner = Winner.DUPLICATOR if frozenset() in survivors else Winner.SPOILER
+    return winner, survivors
+
+
+def _challenges(p: frozenset, s: int):
+    """The challenges the position p answers.  A challenge (q, side, x) is
+    the spoiler placing a pebble on element x of side 0 (left) or 1
+    (right) from the reduced position q; p answers it when p = q | {pair}
+    for the pair of p that has x on that side."""
+    for pair in p:
+        q = p - {pair}
+        yield q, 0, pair[0]
+        yield q, 1, pair[1]
+        if len(p) < s:
+            yield p, 0, pair[0]
+            yield p, 1, pair[1]
+
+
+def worklist_pebble_game_winner(ea: ExpandedStructure, eb: ExpandedStructure, s: int):
+    """The worklist algorithm for safety games: each challenge keeps a
+    count of its surviving replies; removing a position decrements the
+    counts of the challenges it answers, and a count reaching zero removes
+    the challenged position q and every position one pair larger than q."""
+    if s < 1:
+        raise ShapeMismatch(f"s = {s} < 1")
+    a, b = ea.base, eb.base
+    table = _pairing(a, ea.extras, b, eb.extras)
+    survivors = game._partial_isos(table, a.sig.ordered, a.n, b.n, s)
+    live: dict = {}
+    above: dict = {}
+    for p in survivors:
+        for c in _challenges(p, s):
+            live[c] = live.get(c, 0) + 1
+        for pair in p:
+            above.setdefault(p - {pair}, []).append(p)
+    broken = [q for q in survivors if len(q) < s and not all(
+        (q, side, x) in live for side, n in ((0, a.n), (1, b.n)) for x in range(n))]
+    while broken:
+        q = broken.pop()
+        for p in [q, *above.get(q, ())]:
+            if p in survivors:
+                survivors.remove(p)
+                for c in _challenges(p, s):
+                    live[c] -= 1
+                    if not live[c]:
+                        broken.append(c[0])
     winner = Winner.DUPLICATOR if frozenset() in survivors else Winner.SPOILER
     return winner, survivors
 

@@ -25,9 +25,6 @@ from logifp.formula import (
     Var,
     _tokenize,
     conj,
-    element_variables,
-    height,
-    lqr,
     metrics,
     parse_formula,
     pretty,
@@ -222,13 +219,13 @@ def test_metrics_ifp_bound_variable_excluded():
 
 def test_lqr_takes_max_over_connectives():
     f = parse_formula("(E2log[1] X:1 . Ex.X(x)) & (E2log[1] Y:1 . E2log[1] Z:1 . Ex.(Y(x) & Z(x)))")
-    assert lqr(f) == 2
-    assert height(f) == 1
+    m = metrics(f)
+    assert (m.lqr, m.height) == (2, 1)
 
 
 def test_element_variables():
     f = parse_formula("Ex.(E(x,y) & ifp[Y(u,v) <- u=v](x,z))")
-    assert element_variables(f) == {"x", "y", "u", "v", "z"}
+    assert metrics(f).num_element_vars == len({"x", "y", "u", "v", "z"})
 
 
 def _random_formula(rng, depth):
@@ -290,7 +287,7 @@ def test_walk_based_functions_agree_with_recursive_oracle(sig):
         assert _outcome(validate, f, sig) == _outcome(formula_oracle.validate, f, sig)
         for s in (sig, None):
             assert astuple(metrics(f, s)) == formula_oracle.metrics(f, s)
-        assert element_variables(f) == formula_oracle.element_variables(f)
+        assert metrics(f).num_element_vars == len(formula_oracle.element_variables(f))
         names, oracle_names = set(), set()
         _collect_names(f, names)
         formula_oracle._collect_names(f, oracle_names)
@@ -327,7 +324,6 @@ def test_deep_formula_does_not_hit_recursion_limit():
     assert validate(f, STR_SIG) == (frozenset(), {})
     m = metrics(f, STR_SIG)
     assert (m.mva, m.height, m.lqr, m.num_element_vars) == (0, 0, 0, 1)
-    assert element_variables(f) == {"x"}
     assert pretty(f) == "Ex. " + "(" * 2999 + "x=x" + " & x=x)" * 2999
 
 

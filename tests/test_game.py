@@ -269,6 +269,8 @@ def _random_pair(rng):
 
 
 def test_pebble_solver_matches_elimination_oracle():
+    """The colour refinement names the same winner and the same surviving
+    positions as round-by-round elimination and as the worklist solver."""
     rng = random.Random(21)
     winners = set()
     for _ in range(120):
@@ -276,6 +278,7 @@ def test_pebble_solver_matches_elimination_oracle():
         for s in (1, 2, 3):
             got = pebble_game_winner(ea, eb, s)
             assert got == game_oracle.pebble_game_winner(ea, eb, s)
+            assert got == game_oracle.worklist_pebble_game_winner(ea, eb, s)
             winners.add(got[0])
     assert winners == {Winner.DUPLICATOR, Winner.SPOILER}
 
@@ -388,6 +391,7 @@ def test_ternary_pebble_solver_and_partial_isomorphism_match_oracle():
         for s in (1, 2, 3):
             got = pebble_game_winner(ea, eb, s)
             assert got == game_oracle.pebble_game_winner(ea, eb, s)
+            assert got == game_oracle.worklist_pebble_game_winner(ea, eb, s)
             winners.add(got[0])
         a, b = ea.base, eb.base
         for _ in range(5):
@@ -403,9 +407,10 @@ def test_ternary_pebble_solver_and_partial_isomorphism_match_oracle():
 
 
 def test_single_pairs_need_no_extension_check(monkeypatch):
-    """Single pairs come from grouping elements by atomic type: at s = 1
-    the solver makes no extension check, and at s = 2 none for a single
-    pair, only for a pair added to a position of one pair."""
+    """Single pairs come from grouping elements by atomic type: listing
+    the partial isomorphisms of size <= 1 makes no extension check, and of
+    size <= 2 none for a single pair, only for a pair added to a position
+    of one pair."""
     module = importlib.import_module("logifp.game")
     sizes = []
     original = module._extends
@@ -414,10 +419,14 @@ def test_single_pairs_need_no_extension_check(monkeypatch):
                         or original(table, ordered, q, x, y))
     ea = ExpandedStructure(digraph(5), ((1, frozenset({(0,), (3,)})),))
     eb = ExpandedStructure(digraph(6), ((1, frozenset({(2,)})),))
-    assert pebble_game_winner(ea, eb, 1)[0] is Winner.DUPLICATOR
+    table = module._pairing(ea.base, ea.extras, eb.base, eb.extras)
+    singles = module._partial_isos(table, False, 5, 6, 1)
+    assert len(singles) == 1 + 2 * 1 + 3 * 5
     assert sizes == []
-    assert pebble_game_winner(ea, eb, 2)[0] is Winner.SPOILER
+    assert len(module._partial_isos(table, False, 5, 6, 2)) > len(singles)
     assert sizes and set(sizes) == {1}
+    assert pebble_game_winner(ea, eb, 1)[0] is Winner.DUPLICATOR
+    assert pebble_game_winner(ea, eb, 2)[0] is Winner.SPOILER
 
 
 def test_even_demo_nodes_and_pebble_solves(monkeypatch):
@@ -425,8 +434,8 @@ def test_even_demo_nodes_and_pebble_solves(monkeypatch):
     pebble games it solves for `logifp even-demo --m 1 --r 1 --k 1 --s 1`."""
     module = importlib.import_module("logifp.game")
     calls = []
-    original = module.pebble_game_winner
-    monkeypatch.setattr(module, "pebble_game_winner",
+    original = module._solve
+    monkeypatch.setattr(module, "_solve",
                         lambda *args: calls.append(1) or original(*args))
     params = GameParams(1, 1, 1, 1)
     n_a, n_b = even_instance(params)
@@ -434,6 +443,18 @@ def test_even_demo_nodes_and_pebble_solves(monkeypatch):
     assert winner is Winner.DUPLICATOR
     assert transcript["nodes"] == 62878
     assert len(calls) == 563
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_edgeless_pebble_game_closed_form(s):
+    """On edgeless structures the duplicator wins exactly when the sizes
+    are equal or both are at least s; this includes the pair of sizes 22
+    and 23 at s = 2, the pebble phase of `even-demo --m 1 --r 1 --k 1 --s 2`."""
+    for n_a in range(1, 24):
+        for n_b in range(n_a, 24):
+            winner, _ = game_winner(digraph(n_a), digraph(n_b), GameParams(0, 1, 1, s))
+            expected = n_a == n_b or min(n_a, n_b) >= s
+            assert (winner is Winner.DUPLICATOR) is expected, (n_a, n_b)
 
 
 # --- properties: swapping the two structures ---
