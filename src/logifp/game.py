@@ -16,7 +16,7 @@ from enum import Enum
 
 from .core import Structure, ceil_log, log_pow, mention_set
 from .errors import HypothesisViolated, ResourceLimit, ShapeMismatch
-from .evaluate import enumerate_bounded_relations, evaluate
+from .evaluate import evaluate
 from .formula import (
     And,
     Atom,
@@ -96,17 +96,11 @@ def _pairing(a: Structure, extras_a, b: Structure, extras_b) -> tuple:
     return tuple(table)
 
 
-def _atomic_type(table, side: int, x: int) -> tuple:
-    """Which relations of one side (1 = left, 2 = right, as in the rows
-    of the pairing table) hold on the diagonal tuple (x, ..., x): the
-    pair (x, y) is a partial isomorphism exactly when x and y agree."""
-    return tuple((x,) * row[0] in row[side] for row in table)
-
-
 def _extends(table, ordered: bool, q, x: int, y: int) -> bool:
     """Whether q | {(x, y)} is a partial isomorphism, given that the pairs q
     form one: only the new pair is tested, against the order on the pairs
-    of q, its atomic type, and the tuples that mix x with elements of q."""
+    of q, the diagonal tuples (x, ..., x) and the tuples that mix x with
+    elements of q."""
     fwd = {x: y}
     for x2, y2 in q:
         if x2 == x or y2 == y:
@@ -114,7 +108,7 @@ def _extends(table, ordered: bool, q, x: int, y: int) -> bool:
         if ordered and (x2 < x) != (y2 < y):
             return False
         fwd[x2] = y2
-    if _atomic_type(table, 1, x) != _atomic_type(table, 2, y):
+    if any(((x,) * arity in ta) != ((y,) * arity in tb) for arity, ta, tb in table):
         return False
     if not q:
         return True
@@ -123,29 +117,6 @@ def _extends(table, ordered: bool, q, x: int, y: int) -> bool:
             if 0 < t.count(x) < arity and (t in ta) != (tuple(map(fwd.get, t)) in tb):
                 return False
     return True
-
-
-def _partial_isos(table, ordered: bool, na: int, nb: int, s: int) -> set:
-    """All partial isomorphisms of size <= s, as frozensets of pairs.  The
-    single pairs match elements of equal atomic type; each larger one of
-    size i + 1 is built once, from the one of size i without its pair of
-    largest left element."""
-    right: dict = {}
-    for y in range(nb):
-        right.setdefault(_atomic_type(table, 2, y), []).append(y)
-    singles = [(x, y) for x in range(na) for y in right.get(_atomic_type(table, 1, x), ())]
-    layer = [frozenset((pair,)) for pair in singles]
-    out = {frozenset(), *layer}
-    for _ in range(s - 1):
-        nxt = []
-        for p in layer:
-            top = max((x for x, _ in p), default=-1)
-            for pair in singles:
-                if pair[0] > top and _extends(table, ordered, p, *pair):
-                    nxt.append(p | {pair})
-        out.update(nxt)
-        layer = nxt
-    return out
 
 
 def _stable_colours(table, ordered: bool, n_a: int, n_b: int, s: int) -> list:
@@ -189,40 +160,68 @@ def _stable_colours(table, ordered: bool, n_a: int, n_b: int, s: int) -> list:
 
 
 def _solve(ea: ExpandedStructure, eb: ExpandedStructure, s: int) -> tuple:
-    """The winner of the s-pebble game, with the pairing table and the
-    stable colours it was read from: the duplicator wins exactly when both
-    sides realise the same colours on their diagonal tuples (x, ..., x)."""
+    """The winner of the s-pebble game, with the stable colours it was read
+    from: the duplicator wins exactly when both sides realise the same
+    colours on their diagonal tuples (x, ..., x)."""
     a, b = ea.base, eb.base
-    table = _pairing(a, ea.extras, b, eb.extras)
-    colours = _stable_colours(table, a.sig.ordered, a.n, b.n, s)
+    colours = _stable_colours(_pairing(a, ea.extras, b, eb.extras), a.sig.ordered, a.n, b.n, s)
     diagonals = [set(c[::sum(n ** e for e in range(s))]) for c, n in zip(colours, (a.n, b.n))]
     winner = Winner.DUPLICATOR if diagonals[0] == diagonals[1] else Winner.SPOILER
-    return winner, table, colours
+    return winner, colours
 
 
 def pebble_game_winner(ea: ExpandedStructure, eb: ExpandedStructure, s: int):
     """Solve the s-pebble game.  Returns (winner, surviving positions): the
-    empty position if the duplicator wins, and each other partial
-    isomorphism whose padded tuples (its pairs sorted, the last repeated up
-    to s pairs) get the same stable colour on both sides."""
+    empty position if the duplicator wins, and each pairing of a padded left
+    tuple (x_1 < ... < x_j, x_j, ..., x_j) with a right tuple of the same
+    stable colour, hence of the same atomic type."""
     if s < 1:
         raise ShapeMismatch(f"s = {s} < 1")
-    winner, table, (ca, cb) = _solve(ea, eb, s)
-    a, b = ea.base, eb.base
+    winner, (ca, cb) = _solve(ea, eb, s)
+    by_colour: dict = {}
+    for c, t in zip(cb, itertools.product(range(eb.base.n), repeat=s)):
+        by_colour.setdefault(c, []).append(t)
     survivors = {frozenset()} if winner is Winner.DUPLICATOR else set()
-    for p in _partial_isos(table, a.sig.ordered, a.n, b.n, s) - {frozenset()}:
-        pairs = sorted(p)
-        ia = ib = 0
-        for x, y in pairs + pairs[-1:] * (s - len(pairs)):
-            ia, ib = ia * a.n + x, ib * b.n + y
-        if ca[ia] == cb[ib]:
-            survivors.add(p)
+    for c, t in zip(ca, itertools.product(range(ea.base.n), repeat=s)):
+        xs = sorted(set(t))
+        if t == tuple(xs + xs[-1:] * (s - len(xs))):
+            survivors.update(frozenset(zip(xs, u)) for u in by_colour.get(c, ()))
     return winner, survivors
+
+
+def _touched(e: ExpandedStructure) -> frozenset:
+    """The elements in a tuple of the base or the extras, or all if ordered:
+    every permutation of the other elements is an automorphism of e."""
+    if e.base.sig.ordered:
+        return frozenset(range(e.base.n))
+    return mention_set(itertools.chain(*e.base.rels.values(), *(ts for _, ts in e.extras)))
+
+
+def _orbit_relations(n: int, arity: int, bound: int, fixed):
+    """The bounded relations on [n] whose elements outside `fixed` are the
+    least elements outside `fixed`, in enumerate_bounded_relations order.
+    A permutation that fixes `fixed` pointwise maps every bounded relation
+    to one of them, and at arity 1 to exactly one; with every element
+    fixed they are the whole enumeration."""
+    free = [x for x in range(n) if x not in fixed]
+    for size in range(min(bound, n ** arity) + 1):
+        # `size` tuples mention at most size * arity elements
+        allowed = sorted({*fixed, *free[:size * arity]})
+        for combo in itertools.combinations(itertools.product(allowed, repeat=arity), size):
+            new = {c for t in combo for c in t if c not in fixed}
+            if new == set(free[:len(new)]):
+                yield frozenset(combo)
 
 
 class _Solver:
     """Exact minimax for the relation-move game with memoized pebble
-    solves; a node budget guards against runaway instances."""
+    solves; a node budget guards against runaway instances.
+
+    Relation moves are played up to symmetry: a permutation of a side's
+    untouched elements (_touched) is an automorphism, and the game value is
+    invariant under an isomorphism of either side, so a relation wins
+    exactly when its image does and both players try only _orbit_relations.
+    `nodes` counts the spoiler moves tried, plus n_A * n_B per pebble solve."""
 
     def __init__(self, params: GameParams, budget: int = 10_000_000):
         self.params = params
@@ -246,19 +245,20 @@ class _Solver:
         return hit
 
     def spoiler_moves(self, ea: ExpandedStructure, eb: ExpandedStructure):
+        """The spoiler's relations, one or more per orbit on each side."""
         p = self.params
-        for side in ("A", "B"):
-            picker = ea if side == "A" else eb
-            n = picker.base.n
+        for side, picker in (("A", ea), ("B", eb)):
+            n, fixed = picker.base.n, _touched(picker)
             for arity in range(1, p.r + 1):
                 for k in range(1, p.k + 1):
-                    for rel in enumerate_bounded_relations(n, arity, log_pow(n, k)):
+                    for rel in _orbit_relations(n, arity, log_pow(n, k), fixed):
                         yield side, arity, k, rel
 
-    def replies(self, n_other: int, arity: int, k: int, rel: frozenset):
-        """Candidate duplicator relations, promising ones first."""
+    def replies(self, other: ExpandedStructure, arity: int, k: int, rel: frozenset):
+        """Candidate duplicator relations on `other`, promising ones first,
+        then one or more per orbit of its untouched elements."""
+        n_other = other.base.n
         bound = log_pow(n_other, k)
-        seen = set()
         mentioned = sorted(mention_set(rel))
         if len(rel) <= bound:
             # order-preserving relabel of the mentioned elements into the
@@ -268,12 +268,8 @@ class _Solver:
             else:
                 relabel = {x: x for x in mentioned}
             if len(relabel) <= n_other:
-                cand = frozenset(tuple(relabel[c] for c in t) for t in rel)
-                seen.add(cand)
-                yield cand
-        for cand in enumerate_bounded_relations(n_other, arity, bound):
-            if cand not in seen:
-                yield cand
+                yield frozenset(tuple(relabel[c] for c in t) for t in rel)
+        yield from _orbit_relations(n_other, arity, bound, _touched(other))
 
     def wins_exact(self, ea: ExpandedStructure, eb: ExpandedStructure,
                    moves: int) -> Winner:
@@ -289,7 +285,7 @@ class _Solver:
             flip = side == "B"
             here, other = (eb, ea) if flip else (ea, eb)
             moved = here.expanded(arity, rel)
-            for reply in self.replies(other.base.n, arity, k, rel):
+            for reply in self.replies(other, arity, k, rel):
                 nxt = (moved, other.expanded(arity, reply))
                 if flip:
                     nxt = nxt[::-1]
@@ -344,7 +340,15 @@ def verify_fresh_strategy(a: Structure, b: Structure, params: GameParams) -> boo
     """Exhaustively check the fresh-element duplicator strategy on a pair
     of edgeless structures: newly mentioned elements map to fresh ones, the
     reply relation is the image under that map, and the pebble phase pairs
-    mentioned with mentioned and fresh with fresh."""
+    mentioned with mentioned and fresh with fresh.
+
+    The spoiler plays the game solver's moves, one or more relations per
+    orbit of the permutations of its side's unmentioned elements.  Such a
+    permutation maps the game after a relation, and the strategy's answers,
+    to those after its image, up to which unmentioned, unpebbled elements
+    the strategy takes as fresh; any two such choices differ by an
+    automorphism fixing the book and the position.  So a whole orbit passes
+    or fails alike."""
     p = params
     if any(a.rels.values()) or any(b.rels.values()):
         raise HypothesisViolated("structures must be edgeless")
@@ -395,27 +399,23 @@ def verify_fresh_strategy(a: Structure, b: Structure, params: GameParams) -> boo
             return False
         if moves_left == 0:
             return True
-        for arity in range(1, p.r + 1):
-            for k in range(1, p.k + 1):
-                for n_here, mapped, n_other, flip in sides:
-                    for rel in enumerate_bounded_relations(n_here, arity, log_pow(n_here, k)):
-                        book = dict(mapped)
-                        taken = set(book.values())
-                        free = (y for y in range(n_other) if y not in taken)
-                        for x in sorted(mention_set(rel)):
-                            if x not in book:
-                                y = next(free, None)
-                                if y is None:
-                                    return False
-                                book[x] = y
-                        image = frozenset(tuple(book[c] for c in t) for t in rel)
-                        moved = ((arity, rel),), ((arity, image),)
-                        if flip:
-                            book = {y: x for x, y in book.items()}
-                            moved = moved[::-1]
-                        if not relation_phase(extras_a + moved[0], extras_b + moved[1],
-                                              book, moves_left - 1):
-                            return False
+        moves = _Solver(p).spoiler_moves(ExpandedStructure(a, extras_a),
+                                         ExpandedStructure(b, extras_b))
+        for side, arity, _, rel in moves:
+            _, mapped, n_other, flip = sides[side == "B"]
+            new = sorted(mention_set(rel).difference(mapped))
+            taken = set(mapped.values())
+            fresh = [y for y in range(n_other) if y not in taken][:len(new)]
+            if len(fresh) < len(new):
+                return False
+            book = {**mapped, **dict(zip(new, fresh))}
+            image = frozenset(tuple(book[c] for c in t) for t in rel)
+            moved = ((arity, rel),), ((arity, image),)
+            if flip:
+                book = {y: x for x, y in book.items()}
+                moved = moved[::-1]
+            if not relation_phase(extras_a + moved[0], extras_b + moved[1], book, moves_left - 1):
+                return False
         return True
 
     return relation_phase((), (), {}, p.m)

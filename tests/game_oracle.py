@@ -11,6 +11,10 @@ oracle.
 Also holds game_winner_stop_early, the reading of the relation-move game
 in which the spoiler may stop the relation phase at any point; only the
 test that both readings have the same winner uses it.
+
+Also holds game_winner, the relation-move game solved with the spoiler
+and the duplicator trying every bounded relation, as they did before
+relation moves were played one per orbit of the untouched elements.
 """
 
 import itertools
@@ -19,8 +23,7 @@ from typing import Optional
 from logifp.core import ceil_log, log_pow, mention_set
 from logifp.errors import HypothesisViolated, ShapeMismatch
 from logifp.evaluate import enumerate_bounded_relations
-from logifp import game
-from logifp.game import ExpandedStructure, Winner, _Solver, _pairing
+from logifp.game import ExpandedStructure, Winner, _Solver
 
 
 def mention_union(relations) -> frozenset:
@@ -147,8 +150,7 @@ def worklist_pebble_game_winner(ea: ExpandedStructure, eb: ExpandedStructure, s:
     if s < 1:
         raise ShapeMismatch(f"s = {s} < 1")
     a, b = ea.base, eb.base
-    table = _pairing(a, ea.extras, b, eb.extras)
-    survivors = game._partial_isos(table, a.sig.ordered, a.n, b.n, s)
+    survivors = _partial_isos(ea, eb, s)
     live: dict = {}
     above: dict = {}
     for p in survivors:
@@ -287,7 +289,7 @@ def game_winner_stop_early(a, b, params, budget: int = 10_000_000) -> Winner:
             solver.charge()
             other = eb if side == "A" else ea
             survived = False
-            for reply in solver.replies(other.base.n, arity, k, rel):
+            for reply in solver.replies(other, arity, k, rel):
                 if side == "A":
                     nxt = (ea.expanded(arity, rel), eb.expanded(arity, reply))
                 else:
@@ -300,3 +302,51 @@ def game_winner_stop_early(a, b, params, budget: int = 10_000_000) -> Winner:
         return Winner.DUPLICATOR
 
     return wins(ExpandedStructure(a), ExpandedStructure(b), params.m)
+
+
+class _FullSolver(_Solver):
+    """The relation-move solver with every bounded relation tried, by the
+    spoiler and by the duplicator after its relabelled candidate."""
+
+    def spoiler_moves(self, ea, eb):
+        p = self.params
+        for side in ("A", "B"):
+            picker = ea if side == "A" else eb
+            n = picker.base.n
+            for arity in range(1, p.r + 1):
+                for k in range(1, p.k + 1):
+                    for rel in enumerate_bounded_relations(n, arity, log_pow(n, k)):
+                        yield side, arity, k, rel
+
+    def replies(self, other, arity, k, rel):
+        n_other = other.base.n
+        bound = log_pow(n_other, k)
+        seen = set()
+        mentioned = sorted(mention_set(rel))
+        if len(rel) <= bound:
+            if mentioned and mentioned[-1] >= n_other:
+                relabel = {x: i for i, x in enumerate(mentioned)}
+            else:
+                relabel = {x: x for x in mentioned}
+            if len(relabel) <= n_other:
+                cand = frozenset(tuple(relabel[c] for c in t) for t in rel)
+                seen.add(cand)
+                yield cand
+        for cand in enumerate_bounded_relations(n_other, arity, bound):
+            if cand not in seen:
+                yield cand
+
+
+def game_winner(a, b, params, budget: int = 10_000_000):
+    """game.game_winner with _FullSolver: (winner, transcript)."""
+    solver = _FullSolver(params, budget)
+    ea, eb = ExpandedStructure(a), ExpandedStructure(b)
+    winner = Winner.DUPLICATOR
+    for announced in range(params.m + 1):
+        if solver.wins_exact(ea, eb, announced) is Winner.SPOILER:
+            winner = Winner.SPOILER
+            solver.transcript["announced"] = announced
+            break
+    solver.transcript["nodes"] = solver.nodes
+    solver.transcript["winner"] = winner.value
+    return winner, solver.transcript

@@ -239,10 +239,11 @@ CHECK_GOLDEN = [
 ]
 
 
-# recorded from the elimination-loop pebble solver
+# winners and surviving positions recorded from the elimination-loop pebble
+# solver; nodes and spoiler moves from relation moves played one per orbit
 GAME_GOLDEN = [
     (["even-demo", "--m", "1", "--r", "1", "--k", "1", "--s", "1"],
-     ["n_a: 10", "n_b: 11", "winner: Duplicator", "nodes: 62878",
+     ["n_a: 10", "n_b: 11", "winner: Duplicator", "nodes: 670",
       "fresh_strategy_verified: true"]),
     (["even-demo", "--m", "0", "--r", "1", "--k", "1", "--s", "2"],
      ["n_a: 10", "n_b: 11", "winner: Duplicator", "nodes: 110",
@@ -255,15 +256,18 @@ GAME_GOLDEN = [
      ["winner: Duplicator", "surviving_positions: 7"]),
     (["game", "--a", "e2", "--b", "e3", "--m", "1", "--r", "1", "--k", "1", "--s", "1",
       "--sample", "10", "--seed", "3"],
-     ["winner: Duplicator", "sampled: 10", "distinguishing: 0", "nodes: 76"]),
+     ["winner: Duplicator", "sampled: 10", "distinguishing: 0", "nodes: 35"]),
     # two relation moves: the transcript names the side of each deciding move
     (["game", "--a", "e2", "--b", "e3", "--m", "2", "--r", "1", "--k", "1", "--s", "1"],
-     ["winner: Spoiler", "nodes: 625"]
+     ["winner: Spoiler", "nodes: 216"]
      + ["spoiler_move: " + json.dumps({"arity": 1, "k": 1, "moves_left": left,
                                        "relation": rel, "side": side}, sort_keys=True)
-        for left, rel, side in ((1, [[1]], "B"), (1, [], "A"), (1, [[0]], "B"), (1, [[0]], "B"),
-                                (1, [[0]], "B"), (1, [[0]], "B"), (1, [[1]], "B"),
+        for left, rel, side in ((1, [[1]], "B"), (1, [], "A"), (1, [[0]], "B"),
                                 (2, [[0]], "A"))]),
+    # the separation instance of the paper at two pebbles
+    (["even-demo", "--m", "1", "--r", "1", "--k", "1", "--s", "2"],
+     ["n_a: 22", "n_b: 23", "winner: Duplicator", "nodes: 3554",
+      "fresh_strategy_verified: true"]),
 ]
 
 

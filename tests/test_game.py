@@ -13,12 +13,13 @@ import game_oracle
 from game_oracle import game_winner_stop_early
 from logifp.core import Signature, Structure
 from logifp.errors import HypothesisViolated, ResourceLimit, ShapeMismatch
-from logifp.evaluate import evaluate
+from logifp.evaluate import enumerate_bounded_relations, evaluate
 from logifp.formula import validate
 from logifp.game import (
     ExpandedStructure,
     GameParams,
     Winner,
+    _orbit_relations,
     equivalence_sampler,
     even_instance,
     game_winner,
@@ -301,7 +302,7 @@ def test_partial_isomorphism_matches_oracle():
 
 @pytest.mark.parametrize("params,sizes", [
     ((0, 1, 1, 1), (6, 7)), ((0, 1, 1, 1), (7, 6)), ((0, 1, 1, 2), (7, 8)),
-    ((1, 1, 1, 1), (10, 11)), ((1, 1, 1, 1), (11, 10)),
+    ((1, 1, 1, 1), (10, 11)), ((1, 1, 1, 1), (11, 10)), ((0, 2, 1, 1), (7, 8)),
 ])
 def test_fresh_strategy_matches_oracle(params, sizes):
     a, b = digraph(sizes[0]), digraph(sizes[1])
@@ -339,6 +340,86 @@ def test_fresh_strategy_answers_every_reached_position(params, sizes, monkeypatc
             nxt = q | {pair}
             assert all(r in challenged for r in [nxt] * (len(nxt) < p.s)
                        + [nxt - {c} for c in nxt])
+
+
+# --- relation moves one per orbit of the untouched elements ---
+
+
+def test_fresh_strategy_plays_every_orbit_of_a_second_move(monkeypatch):
+    """With two relation moves (13/14 at (2, 1, 1, 1), too large for the
+    oracle), every pair of extras the check reaches with one move goes on to
+    a second unary relation on each side from every orbit of the
+    permutations that fix the elements the first move mentions there."""
+    module = importlib.import_module("logifp.game")
+    played = []
+    original = module._pairing
+    monkeypatch.setattr(module, "_pairing", lambda a, extras_a, b, extras_b:
+                        played.append((extras_a, extras_b)) or original(a, extras_a, b, extras_b))
+    sizes = (13, 14)
+    assert verify_fresh_strategy(digraph(sizes[0]), digraph(sizes[1]), GameParams(2, 1, 1, 1))
+    firsts = {(ea[0], eb[0]) for ea, eb in played if len(ea) == 1}
+    assert len(firsts) > 2
+    for first in firsts:
+        seconds = [(ea[1], eb[1]) for ea, eb in played if len(ea) == 2 and (ea[0], eb[0]) == first]
+        for side, n in enumerate(sizes):
+            old = first[side][1]  # the first move's tuples, one per mentioned element
+            expected = {(rel & old, len(rel - old))  # bound ceil_log(n) = 4
+                        for rel in enumerate_bounded_relations(n, 1, 4)}
+            assert expected <= {(rel & old, len(rel - old)) for _, rel in
+                                (second[side] for second in seconds)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_orbit_relations_meet_every_orbit(n):
+    """_orbit_relations lists, in enumeration order, the bounded relations
+    whose unfixed elements are the least unfixed ones; every orbit of the
+    permutations fixing `fixed` pointwise meets it, in exactly one relation
+    at arity 1, and with every element fixed it is the whole enumeration."""
+    for fixed in (set(), {0}, {n - 1}, {1, 3} & set(range(n)), set(range(n))):
+        free = [x for x in range(n) if x not in fixed]
+        perms = [dict(zip(free, p)) for p in itertools.permutations(free)]
+        for arity, bound in ((1, 0), (1, 2), (1, n), (2, 1), (2, 2)):
+            full = list(enumerate_bounded_relations(n, arity, bound))
+            got = list(_orbit_relations(n, arity, bound, fixed))
+            chosen = set(got)
+            assert got == [rel for rel in full if rel in chosen]
+            for rel in full:
+                new = {c for t in rel for c in t} - fixed
+                assert (rel in chosen) == (new == set(free[:len(new)]))
+                orbit = {frozenset(tuple(p.get(c, c) for c in t) for t in rel) for p in perms}
+                assert len(orbit & chosen) == 1 if arity == 1 else orbit & chosen
+            if fixed == set(range(n)):
+                assert got == full
+
+
+def _digraph_with_isolated(rng, n, ordered):
+    """A random digraph whose edges lie among its first few elements, so
+    that the rest are isolated."""
+    live = rng.randint(0, n)
+    return digraph(n, {(x, y) for x in range(live) for y in range(live) if rng.random() < 0.4},
+                   ordered)
+
+
+def test_game_winner_matches_full_enumeration():
+    """Relation moves played one per orbit give the verdicts of the solver
+    that tries every bounded relation on both sides; in an ordered
+    signature no element is untouched, so the whole transcript agrees."""
+    rng = random.Random(31)
+    winners = collections.Counter()
+    for _ in range(150):
+        ordered = rng.random() < 0.2
+        a, b = (_digraph_with_isolated(rng, rng.randint(1, 6), ordered) for _ in range(2))
+        m = rng.randint(0, 2)
+        r = rng.randint(1, 2) if m < 2 and max(a.n, b.n) <= 4 else 1
+        params = GameParams(m, r, 1, rng.randint(1, 2))
+        winner, transcript = game_winner(a, b, params)
+        expected, full_transcript = game_oracle.game_winner(a, b, params)
+        assert winner is expected, (a, b, params)
+        if ordered:
+            assert transcript == full_transcript
+        winners[winner, m > 0, ordered] += 1
+    assert all(winners[w, True, False] for w in Winner)
+    assert any(winners[w, True, True] for w in Winner)
 
 
 # --- atomic types: single pairs, and tuples that mix a new element with old ones ---
@@ -407,10 +488,9 @@ def test_ternary_pebble_solver_and_partial_isomorphism_match_oracle():
 
 
 def test_single_pairs_need_no_extension_check(monkeypatch):
-    """Single pairs come from grouping elements by atomic type: listing
-    the partial isomorphisms of size <= 1 makes no extension check, and of
-    size <= 2 none for a single pair, only for a pair added to a position
-    of one pair."""
+    """The surviving positions are read off the colour classes, so no
+    position, single pair or larger, goes through an extension check; the
+    single pairs that survive at s = 1 are the pairs of equal atomic type."""
     module = importlib.import_module("logifp.game")
     sizes = []
     original = module._extends
@@ -419,19 +499,18 @@ def test_single_pairs_need_no_extension_check(monkeypatch):
                         or original(table, ordered, q, x, y))
     ea = ExpandedStructure(digraph(5), ((1, frozenset({(0,), (3,)})),))
     eb = ExpandedStructure(digraph(6), ((1, frozenset({(2,)})),))
-    table = module._pairing(ea.base, ea.extras, eb.base, eb.extras)
-    singles = module._partial_isos(table, False, 5, 6, 1)
+    winner, singles = pebble_game_winner(ea, eb, 1)
+    assert winner is Winner.DUPLICATOR
     assert len(singles) == 1 + 2 * 1 + 3 * 5
-    assert sizes == []
-    assert len(module._partial_isos(table, False, 5, 6, 2)) > len(singles)
-    assert sizes and set(sizes) == {1}
-    assert pebble_game_winner(ea, eb, 1)[0] is Winner.DUPLICATOR
     assert pebble_game_winner(ea, eb, 2)[0] is Winner.SPOILER
+    assert sizes == []
 
 
 def test_even_demo_nodes_and_pebble_solves(monkeypatch):
-    """The game solver's work is unchanged: the nodes it charges and the
-    pebble games it solves for `logifp even-demo --m 1 --r 1 --k 1 --s 1`."""
+    """The game solver's work for `logifp even-demo --m 1 --r 1 --k 1 --s 1`
+    with relation moves played one per orbit: the nodes it charges (62,878
+    when every bounded relation was tried) and the pebble games it solves
+    (563 then)."""
     module = importlib.import_module("logifp.game")
     calls = []
     original = module._solve
@@ -441,8 +520,8 @@ def test_even_demo_nodes_and_pebble_solves(monkeypatch):
     n_a, n_b = even_instance(params)
     winner, transcript = game_winner(digraph(n_a), digraph(n_b), params)
     assert winner is Winner.DUPLICATOR
-    assert transcript["nodes"] == 62878
-    assert len(calls) == 563
+    assert transcript["nodes"] == 670
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
