@@ -169,7 +169,7 @@ def run_command(argv) -> int:
     except (ResourceLimit, RecursionError) as exc:
         out.emit("error", f"resource limit: {exc}")
         return 3
-    except (LogifpError, OSError, json.JSONDecodeError) as exc:
+    except (LogifpError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         out.emit("error", f"{type(exc).__name__}: {exc}")
         return 2
 

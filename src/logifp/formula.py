@@ -315,10 +315,14 @@ def _tokenize(text: str):
 
 _QUANT_RE = re.compile(r"^([AE])([a-z][A-Za-z0-9_]*)$")
 
+# connective: (precedence, node); "->" is right-associative.  A pending
+# quantifier has precedence 0, so its body extends maximally right, "!"
+# has 4, and an open bracket has -1 and is popped only by its closer.
+_CONNECTIVES = {"->": (1, Implies), "|": (2, Or), "&": (3, And)}
+
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -340,113 +344,103 @@ class _Parser:
         kind, val, pos = self.peek()
         raise FormulaSyntaxError(pos, expected, val or "end of input")
 
-    # implication is right-associative
     def formula(self):
-        left = self.or_level()
-        if self.peek()[1] == "->":
-            self.next()
-            return Implies(left, self.formula())
-        return left
+        """The formula up to the first token that cannot continue it, parsed
+        with a stack of operands and a stack of pending operators (operator
+        precedence, Pratt 1973), so nesting costs no Python frames.  A pending
+        operator is (precedence, node class, fields before the body or None
+        for a connective, position)."""
+        operands, pending = [], []
+        while True:
+            # operand position: stack prefixes and open brackets up to an atom
+            while True:
+                kind, val, pos = self.peek()
+                if val == "!":
+                    self.next()
+                    pending.append((4, Not, (), pos))
+                elif val == "(":
+                    self.next()
+                    pending.append((-1, None, None, pos))
+                elif val == "ifp":
+                    self.next()
+                    self.expect("[")
+                    relvar = self.relvar()
+                    vars_ = self.listed(self.var_name)
+                    self.expect("<-")
+                    pending.append((-1, Ifp, (vars_, relvar), pos))
+                elif val in ("E2log", "A2log") and self.peek(1)[1] == "[":
+                    self.next()
+                    self.expect("[")
+                    k = self.integer("an integer exponent")
+                    self.expect("]")
+                    relvar = self.relvar()
+                    self.expect(":")
+                    arity = self.integer("an arity")
+                    self.expect(".")
+                    cls = ExistsLog if val == "E2log" else ForallLog
+                    pending.append((0, cls, (k, relvar, arity), pos))
+                elif (m := _QUANT_RE.match(val)) and self.peek(1)[1] == ".":
+                    self.i += 2
+                    pending.append((0, Exists if m[1] == "E" else Forall, (m[2],), pos))
+                elif val in ("E", "A") and self.peek(1)[0] == "ident" \
+                        and self.peek(1)[1][0].islower() and self.peek(2)[1] == ".":
+                    pending.append((0, Exists if val == "E" else Forall, (self.peek(1)[1],), pos))
+                    self.i += 3
+                else:
+                    break
+            operands.append(self.atom())
+            # operator position: reduce what binds at least as tightly as the next
+            # connective (more tightly for "->"; all but brackets before a closer)
+            while True:
+                kind, val, pos = self.peek()
+                prec, cls = _CONNECTIVES.get(val, (0, None))
+                while pending and pending[-1][0] >= prec + (cls is Implies):
+                    _, node, fields, at = pending.pop()
+                    body = operands.pop()
+                    if fields is None:
+                        operands[-1] = node(operands[-1], body)
+                        continue
+                    if node is ExistsLog or node is ForallLog:
+                        # checked once the body has parsed, so its errors come first
+                        k, _, arity = fields
+                        if k < 1:
+                            raise FormulaSyntaxError(at, "exponent k >= 1", str(k))
+                        if arity < 1:
+                            raise FormulaSyntaxError(at, "arity >= 1", str(arity))
+                    operands.append(node(*fields, body))
+                if cls is not None:
+                    self.next()
+                    pending.append((prec, cls, None, pos))
+                    break
+                if not pending:
+                    return operands.pop()
+                _, node, fields, _ = pending.pop()
+                if node is None:
+                    self.expect(")")
+                else:
+                    self.expect("]")
+                    operands.append(Ifp(*fields, operands.pop(), self.listed(self.term)))
 
-    def try_quantifier(self):
+    def listed(self, item):
+        """A parenthesised, comma-separated, non-empty list of `item`s."""
+        self.expect("(")
+        items = [item()]
+        while self.peek()[1] == ",":
+            self.next()
+            items.append(item())
+        self.expect(")")
+        return tuple(items)
+
+    def integer(self, expected):
+        if self.peek()[0] != "int":
+            self.fail(expected)
+        return int(self.next()[1])
+
+    def relvar(self):
         kind, val, pos = self.peek()
-        if kind != "ident":
-            return None
-        if val in ("E2log", "A2log") and self.peek(1)[1] == "[":
-            self.next()
-            self.expect("[")
-            ktok = self.peek()
-            if ktok[0] != "int":
-                self.fail("an integer exponent")
-            k = int(self.next()[1])
-            self.expect("]")
-            rv = self.peek()
-            if rv[0] != "ident" or not rv[1][0].isupper():
-                self.fail("a relation variable")
-            relvar = self.next()[1]
-            self.expect(":")
-            atok = self.peek()
-            if atok[0] != "int":
-                self.fail("an arity")
-            arity = int(self.next()[1])
-            self.expect(".")
-            body = self.formula()
-            cls = ExistsLog if val == "E2log" else ForallLog
-            if k < 1:
-                raise FormulaSyntaxError(pos, "exponent k >= 1", str(k))
-            if arity < 1:
-                raise FormulaSyntaxError(pos, "arity >= 1", str(arity))
-            return cls(k, relvar, arity, body)
-        m = _QUANT_RE.match(val)
-        if m and self.peek(1)[1] == ".":
-            self.next()
-            self.expect(".")
-            body = self.formula()
-            return (Exists if m.group(1) == "E" else Forall)(m.group(2), body)
-        if val in ("E", "A") and self.peek(1)[0] == "ident" and self.peek(1)[1][0].islower() \
-                and self.peek(2)[1] == ".":
-            self.next()
-            var = self.next()[1]
-            self.expect(".")
-            body = self.formula()
-            return (Exists if val == "E" else Forall)(var, body)
-        return None
-
-    def or_level(self):
-        left = self.and_level()
-        while self.peek()[1] == "|":
-            self.next()
-            left = Or(left, self.and_level())
-        return left
-
-    def and_level(self):
-        left = self.unary()
-        while self.peek()[1] == "&":
-            self.next()
-            left = And(left, self.unary())
-        return left
-
-    def unary(self):
-        # a quantifier may start an operand; its body extends maximally right
-        q = self.try_quantifier()
-        if q is not None:
-            return q
-        kind, val, pos = self.peek()
-        if val == "!":
-            self.next()
-            return Not(self.unary())
-        if val == "(":
-            self.next()
-            inner = self.formula()
-            self.expect(")")
-            return inner
-        if val == "ifp":
-            return self.ifp()
-        return self.atom()
-
-    def ifp(self):
-        self.expect("ifp")
-        self.expect("[")
-        rv = self.peek()
-        if rv[0] != "ident" or not rv[1][0].isupper():
+        if kind != "ident" or not val[0].isupper():
             self.fail("a relation variable")
-        relvar = self.next()[1]
-        self.expect("(")
-        vars_ = [self.var_name()]
-        while self.peek()[1] == ",":
-            self.next()
-            vars_.append(self.var_name())
-        self.expect(")")
-        self.expect("<-")
-        body = self.formula()
-        self.expect("]")
-        self.expect("(")
-        terms = [self.term()]
-        while self.peek()[1] == ",":
-            self.next()
-            terms.append(self.term())
-        self.expect(")")
-        return Ifp(tuple(vars_), relvar, body, tuple(terms))
+        return self.next()[1]
 
     def var_name(self):
         kind, val, pos = self.peek()
@@ -478,14 +472,8 @@ class _Parser:
             self.expect(")")
             return Bit(value, index)
         if kind == "ident" and val[0].isupper():
-            name = self.next()[1]
-            self.expect("(")
-            args = [self.term()]
-            while self.peek()[1] == ",":
-                self.next()
-                args.append(self.term())
-            self.expect(")")
-            return Atom(name, tuple(args))
+            self.next()
+            return Atom(val, self.listed(self.term))
         left = self.term()
         op = self.peek()[1]
         if op == "=":

@@ -1,8 +1,11 @@
 """Recursive reference implementations of validate, metrics,
-element_variables and interp._collect_names, and the position-loop lexer,
-as they stood before logifp.formula.walk and the one-pass lexer.  Kept as
-a differential oracle for tests/test_formula.py; metrics returns the
-fields of logifp.formula.Metrics as a plain tuple in declaration order."""
+element_variables and interp._collect_names, the position-loop lexer and
+the recursive-descent parser, as they stood before logifp.formula.walk,
+the one-pass lexer and the operator-precedence parser.  Kept as a
+differential oracle for tests/test_formula.py; metrics returns the fields
+of logifp.formula.Metrics as a plain tuple in declaration order.  The
+parser reads the tokens of logifp.formula._tokenize, so that it and
+logifp.formula.parse_formula differ only in the parser."""
 
 import re
 
@@ -14,6 +17,7 @@ from logifp.errors import (
     OrderUsedUnordered,
     UnknownRelation,
 )
+from logifp.formula import _tokenize as _one_pass_tokenize
 from logifp.formula import (
     And,
     Atom,
@@ -287,3 +291,198 @@ def _collect_names(f: Formula, out: set):
             if type(x) is Var:
                 out.add(x.name)
         _collect_names(f.body, out)
+
+
+# --- recursive-descent parser ---
+
+_QUANT_RE = re.compile(r"^([AE])([a-z][A-Za-z0-9_]*)$")
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _one_pass_tokenize(text)
+        self.i = 0
+
+    def peek(self, ahead=0):
+        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+
+    def next(self):
+        # only called after a peek that matched a token other than eof
+        self.i += 1
+        return self.tokens[self.i - 1]
+
+    def expect(self, value):
+        kind, val, pos = self.peek()
+        if val != value:
+            raise FormulaSyntaxError(pos, repr(value), val or "end of input")
+        return self.next()
+
+    def fail(self, expected):
+        kind, val, pos = self.peek()
+        raise FormulaSyntaxError(pos, expected, val or "end of input")
+
+    # implication is right-associative
+    def formula(self):
+        left = self.or_level()
+        if self.peek()[1] == "->":
+            self.next()
+            return Implies(left, self.formula())
+        return left
+
+    def try_quantifier(self):
+        kind, val, pos = self.peek()
+        if kind != "ident":
+            return None
+        if val in ("E2log", "A2log") and self.peek(1)[1] == "[":
+            self.next()
+            self.expect("[")
+            ktok = self.peek()
+            if ktok[0] != "int":
+                self.fail("an integer exponent")
+            k = int(self.next()[1])
+            self.expect("]")
+            rv = self.peek()
+            if rv[0] != "ident" or not rv[1][0].isupper():
+                self.fail("a relation variable")
+            relvar = self.next()[1]
+            self.expect(":")
+            atok = self.peek()
+            if atok[0] != "int":
+                self.fail("an arity")
+            arity = int(self.next()[1])
+            self.expect(".")
+            body = self.formula()
+            cls = ExistsLog if val == "E2log" else ForallLog
+            if k < 1:
+                raise FormulaSyntaxError(pos, "exponent k >= 1", str(k))
+            if arity < 1:
+                raise FormulaSyntaxError(pos, "arity >= 1", str(arity))
+            return cls(k, relvar, arity, body)
+        m = _QUANT_RE.match(val)
+        if m and self.peek(1)[1] == ".":
+            self.next()
+            self.expect(".")
+            body = self.formula()
+            return (Exists if m.group(1) == "E" else Forall)(m.group(2), body)
+        if val in ("E", "A") and self.peek(1)[0] == "ident" and self.peek(1)[1][0].islower() \
+                and self.peek(2)[1] == ".":
+            self.next()
+            var = self.next()[1]
+            self.expect(".")
+            body = self.formula()
+            return (Exists if val == "E" else Forall)(var, body)
+        return None
+
+    def or_level(self):
+        left = self.and_level()
+        while self.peek()[1] == "|":
+            self.next()
+            left = Or(left, self.and_level())
+        return left
+
+    def and_level(self):
+        left = self.unary()
+        while self.peek()[1] == "&":
+            self.next()
+            left = And(left, self.unary())
+        return left
+
+    def unary(self):
+        # a quantifier may start an operand; its body extends maximally right
+        q = self.try_quantifier()
+        if q is not None:
+            return q
+        kind, val, pos = self.peek()
+        if val == "!":
+            self.next()
+            return Not(self.unary())
+        if val == "(":
+            self.next()
+            inner = self.formula()
+            self.expect(")")
+            return inner
+        if val == "ifp":
+            return self.ifp()
+        return self.atom()
+
+    def ifp(self):
+        self.expect("ifp")
+        self.expect("[")
+        rv = self.peek()
+        if rv[0] != "ident" or not rv[1][0].isupper():
+            self.fail("a relation variable")
+        relvar = self.next()[1]
+        self.expect("(")
+        vars_ = [self.var_name()]
+        while self.peek()[1] == ",":
+            self.next()
+            vars_.append(self.var_name())
+        self.expect(")")
+        self.expect("<-")
+        body = self.formula()
+        self.expect("]")
+        self.expect("(")
+        terms = [self.term()]
+        while self.peek()[1] == ",":
+            self.next()
+            terms.append(self.term())
+        self.expect(")")
+        return Ifp(tuple(vars_), relvar, body, tuple(terms))
+
+    def var_name(self):
+        kind, val, pos = self.peek()
+        if kind != "ident" or not val[0].islower() or val == "logn":
+            self.fail("an element variable")
+        return self.next()[1]
+
+    def term(self):
+        kind, val, pos = self.peek()
+        if kind == "int":
+            self.next()
+            return Lit(int(val))
+        if kind == "ident" and val == "logn":
+            self.next()
+            return LogN()
+        if kind == "ident" and val[0].islower():
+            self.next()
+            return Var(val)
+        self.fail("a term")
+
+    def atom(self):
+        kind, val, pos = self.peek()
+        if kind == "ident" and val == "BIT":
+            self.next()
+            self.expect("(")
+            value = self.term()
+            self.expect(",")
+            index = self.term()
+            self.expect(")")
+            return Bit(value, index)
+        if kind == "ident" and val[0].isupper():
+            name = self.next()[1]
+            self.expect("(")
+            args = [self.term()]
+            while self.peek()[1] == ",":
+                self.next()
+                args.append(self.term())
+            self.expect(")")
+            return Atom(name, tuple(args))
+        left = self.term()
+        op = self.peek()[1]
+        if op == "=":
+            self.next()
+            return Eq(left, self.term())
+        if op == "<":
+            self.next()
+            return Less(left, self.term())
+        self.fail("'=' or '<'")
+
+
+def parse_formula(text: str) -> Formula:
+    p = _Parser(text)
+    f = p.formula()
+    kind, val, pos = p.peek()
+    if kind != "eof":
+        raise FormulaSyntaxError(pos, "end of input", val)
+    return f

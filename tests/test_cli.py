@@ -169,6 +169,19 @@ def test_malformed_document_exit_code(tmp_path, capsys, argv, doc, kind):
     assert code == 2 and out.startswith(f"error: ParseError: malformed {kind} document")
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--formula-file"],
+    ["check", "--formula", "x=x", "--sig"],
+    ["eval", "--formula", "Ex. x=x", "--structure"],
+    ["encode", "--structure"],
+])
+def test_non_utf8_file_exit_code(tmp_path, capsys, argv):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("{\"n\": 3} # \u00e9".encode("latin-1"))
+    code, out = run(argv + [str(path)], capsys)
+    assert code == 2 and out.startswith("error: UnicodeDecodeError: ")
+
+
 def test_log_quantified_signature_name_exit_code(capsys):
     code, out = run(["eval", "--string", "1111",
                      "--formula", "E2log[1] P0:1 . Ex. P0(x)"], capsys)
@@ -312,13 +325,15 @@ def test_outputs_are_deterministic(files, capsys):
         assert first == second
 
 
-@pytest.mark.parametrize("argv", [
-    ["check", "--formula", "(" * 400 + "x=x" + ")" * 400],
-    ["check", "--formula", "!" * 2000 + "x=x"],
-])
-def test_recursion_limit_exit_code(argv, capsys):
-    code, out = run(["--format", "machine"] + argv, capsys)
-    assert code == 3 and out.startswith("error=resource limit: ")
+@pytest.mark.parametrize("argv,code,head", [
+    # parsing has no nesting limit
+    (["check", "--formula", "(" * 400 + "x=x" + ")" * 400], 0, "formula=x=x\n"),
+    # printing a deep "!" chain still recurses
+    (["check", "--formula", "!" * 2000 + "x=x"], 3, "error=resource limit: "),
+], ids=["parentheses", "negations"])
+def test_recursion_limit_exit_code(argv, code, head, capsys):
+    got, out = run(["--format", "machine"] + argv, capsys)
+    assert got == code and out.startswith(head)
 
 
 def test_eval_deep_conjunction(tmp_path, capsys):

@@ -1,4 +1,8 @@
-"""Structures, signatures, strings, isomorphism and JSON files."""
+"""Structures, signatures, strings, isomorphism and JSON files, and the
+oldest Python the package declares."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -162,3 +166,12 @@ def test_str_sig_shape():
     assert STR_SIG.ordered
     assert STR_SIG.names == ("P0", "P1", "PH", "PL", "PR")
     assert all(STR_SIG.arity(p) == 1 for p in STR_SIG.names)
+
+
+PACKAGE = Path(__file__).parents[1] / "src" / "logifp"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_parses_as_python_3_10(path):
+    # pyproject.toml declares requires-python >= 3.10
+    ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

@@ -51,6 +51,8 @@ from logifp.formula import (
     disj,
     parse_formula,
     pretty,
+    terms,
+    validate,
     walk,
 )
 from test_formula import _random_formula
@@ -339,6 +341,28 @@ def test_log_search_agrees_with_ordered_enumeration(strings):
         assert agrees(got, expected, lambda: outcome(eval_oracle.decided, u, f, env)), pretty(f)
         answered += type(got) is bool
     assert answered > 1500
+
+
+def test_evaluation_is_invariant_under_relabelling():
+    """A closed sentence without order terms cannot tell the elements of an
+    unordered digraph apart, so relabelling them keeps its value; with no
+    order term and no free variable, no lazy error can depend on the order
+    in which elements are tried."""
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(400):
+        f = _random_log_formula(rng, rng.randint(1, 4), ("E", 2), {})
+        if any(type(g) is Less or any(type(x) is not Var for x in terms(g)) for g, *_ in walk(f)):
+            continue
+        for v in sorted(validate(f, DIGRAPH)[0]):
+            f = rng.choice((Exists, Forall))(v, f)
+        n = rng.randint(1, 4)
+        edges = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 4))}
+        perm = rng.sample(range(n), n)
+        relabelled = {(perm[a], perm[b]) for a, b in edges}
+        assert evaluate(digraph(n, edges), f) == evaluate(digraph(n, relabelled), f), pretty(f)
+        checked += 1
+    assert checked > 200
 
 
 def test_log_search_witness_comes_before_a_later_error():

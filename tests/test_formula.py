@@ -25,6 +25,7 @@ from logifp.formula import (
     Var,
     _tokenize,
     conj,
+    disj,
     metrics,
     parse_formula,
     pretty,
@@ -131,6 +132,9 @@ def test_syntax_errors_carry_position():
         ("E2log[x] X:1 . x=x", 6, "an integer exponent", "x"),
         ("A2log[1] X:1 X(x)", 13, "'.'", "X"),
         ("E2log[1] X:0 . x=x", 0, "arity >= 1", "0"),
+        ("E2log[0] X:0 . x=x", 0, "exponent k >= 1", "0"),
+        ("(A2log[0] X:1 . x=x", 1, "exponent k >= 1", "0"),
+        ("E2log[0] X:1 . x=", 17, "a term", "end of input"),
         ("Ax.Ey.", 6, "a term", "end of input"),
         ("E x .", 5, "a term", "end of input"),
         ("!Ex.", 4, "a term", "end of input"),
@@ -266,11 +270,12 @@ def test_round_trip_on_random_asts():
 
 def _outcome(fn, *args):
     """The result of fn(*args), or the type of the exception it raised
-    (with the position and the offending text for a syntax error)."""
+    (with the position, what was expected and the offending text for a
+    syntax error)."""
     try:
         return fn(*args)
     except FormulaSyntaxError as exc:
-        return FormulaSyntaxError, exc.position, exc.found
+        return FormulaSyntaxError, exc.position, exc.expected, exc.found
     except Exception as exc:
         return type(exc)
 
@@ -292,6 +297,55 @@ def test_walk_based_functions_agree_with_recursive_oracle(sig):
         _collect_names(f, names)
         formula_oracle._collect_names(f, oracle_names)
         assert names == oracle_names
+
+
+_PARSER_TOKENS = ["Ex", "Ay", "E", "A", "x", "y", "X", "Y", ".", "(", ")", "&", "|", "->",
+                  "!", "=", "<", ",", "E2log", "A2log", "[", "]", ":", "0", "1", "2", "ifp",
+                  "<-", "BIT", "logn", "P", "#"]
+
+
+def _drop_parentheses(rng, tokens):
+    """`tokens` without a random half of the parentheses that group
+    formulas (not those of atoms or fixed points), so that precedence and
+    quantifier scope decide the shape."""
+    drop, opened = set(), []
+    for j, t in enumerate(tokens):
+        if t == "(":
+            # an atom's or a fixed point's "(" follows a name or "]"
+            grouping = j == 0 or tokens[j - 1] != "]" and not tokens[j - 1][0].isalpha()
+            opened.append(j if grouping else None)
+        elif t == ")":
+            i = opened.pop()
+            if i is not None and rng.random() < 0.5:
+                drop |= {i, j}
+    return [t for j, t in enumerate(tokens) if j not in drop]
+
+
+def test_parser_agrees_with_recursive_descent_oracle():
+    rng = random.Random(14)
+    parsed = 0
+    for i in range(21000):
+        if i % 3 == 0:
+            tokens = [rng.choice(_PARSER_TOKENS) for _ in range(rng.randint(0, 14))]
+        else:
+            tokens = [t[1] for t in _tokenize(pretty(_random_formula(rng, rng.randint(1, 5))))]
+            tokens.pop()  # eof
+        if i % 3 == 1:
+            tokens = _drop_parentheses(rng, tokens)
+        if i % 3 == 2:
+            # 0-2 token deletions, insertions or replacements
+            for _ in range(rng.randint(0, 2)):
+                j = rng.randrange(len(tokens))
+                edit = rng.randrange(3)
+                if edit == 0:
+                    del tokens[j]
+                else:
+                    tokens[j:j + (edit == 2)] = [rng.choice(_PARSER_TOKENS)]
+        text = " ".join(tokens)
+        got = _outcome(parse_formula, text)
+        assert got == _outcome(formula_oracle.parse_formula, text), text
+        parsed += type(got) is not tuple
+    assert parsed > 8000  # both outcomes are compared often
 
 
 def test_tokenize_agrees_with_position_loop_lexer():
@@ -325,6 +379,28 @@ def test_deep_formula_does_not_hit_recursion_limit():
     m = metrics(f, STR_SIG)
     assert (m.mva, m.height, m.lqr, m.num_element_vars) == (0, 0, 0, 1)
     assert pretty(f) == "Ex. " + "(" * 2999 + "x=x" + " & x=x)" * 2999
+    # the dataclass == recurses, so compare the printed text at this depth
+    assert pretty(parse_formula(pretty(f))) == pretty(f)
+
+
+@pytest.mark.parametrize("chain", [conj, disj])
+def test_long_chain_round_trip(chain):
+    x = Var("x")
+    f = Exists("x", chain([Eq(x, x)] * 300))
+    assert parse_formula(pretty(f)) == f
+
+
+@pytest.mark.parametrize("text,node,depth", [
+    ("(" * 3000 + "x=x" + ")" * 3000, None, 0),
+    ("!" * 3000 + "x=x", Not, 3000),
+    ("Ex. " * 2000 + "x=x", Exists, 2000),
+])
+def test_deep_nesting_parses(text, node, depth):
+    f = parse_formula(text)
+    for _ in range(depth):
+        assert type(f) is node
+        f = f.body
+    assert f == Eq(Var("x"), Var("x"))
 
 
 @pytest.mark.parametrize("text", [

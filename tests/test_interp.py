@@ -247,6 +247,12 @@ def test_interpretation_json_round_trip():
     assert apply_interpretation(j, a) == apply_interpretation(i, a)
 
 
+def test_long_interpretation_json_round_trip():
+    # the universe formula is a disjunction of 300 conjunctions
+    doc = interpretation_to_json(build_J_reduction(300))
+    assert interpretation_to_json(interpretation_from_json(doc)) == doc
+
+
 def test_transform_formula_golden_output():
     """Translations through the J-reductions for one and two relations and
     the pairing interpretation, recorded before transform_formula passed
