@@ -8,16 +8,12 @@ is "110"); brackets are written as the ASCII characters '[' and ']'.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+import operator
+import re
+from os.path import commonprefix
+from typing import Iterable, Optional, Sequence, Union
 
-from .core import (
-    Signature,
-    StringStructure,
-    Structure,
-    ceil_log,
-    from_text,
-    log_pow,
-)
+from .core import Signature, StringStructure, Structure, ceil_log, from_text, log_pow
 from .errors import (
     ArityMismatch,
     DomainTooSmall,
@@ -27,11 +23,12 @@ from .errors import (
     ParseError,
     TooManyChunks,
     Unordered,
+    UnsupportedShape,
 )
 
 
 def _bits_lsb_first(j: int, width: int) -> str:
-    return "".join("1" if (j >> i) & 1 else "0" for i in range(width))
+    return format(j, f"0{width}b")[::-1][:width]
 
 
 def enc_element(j: int, width: int) -> str:
@@ -61,74 +58,44 @@ def enc_structure(a: Structure) -> str:
     return "[" + domain + rels + "]"
 
 
+def _tuple(node) -> Optional[tuple]:
+    """(c1, ..., ck) for a tuple node [[c1]...[ck]], else None."""
+    try:
+        return tuple(operator.index(c) for [c] in node)
+    except (TypeError, ValueError):
+        return None
+
+
 def dec_structure(s: str, sig: Signature) -> Structure:
-    """Inverse of enc_structure; exact on its image."""
+    """Inverse of enc_structure: the structure that the brackets and bit runs
+    of s spell, if its encoding is s.  What spells nothing, such as a tuple
+    with a component outside the domain, is left out (and a domain under two
+    elements counts as two), so the encoding differs from s there."""
     if not sig.ordered:
         raise Unordered("dec needs an ordered signature")
-    pos = 0
-
-    def expect(ch: str):
-        nonlocal pos
-        if pos >= len(s) or s[pos] != ch:
-            raise ParseError(f"expected {ch!r} at position {pos}")
-        pos += 1
-
-    def peek():
-        return s[pos] if pos < len(s) else ""
-
-    def element(width: int) -> int:
-        nonlocal pos
-        expect("[")
-        bits = s[pos:pos + width]
-        if len(bits) != width or any(b not in "01" for b in bits):
-            raise ParseError(f"bad {width}-bit element at position {pos}")
-        pos += width
-        expect("]")
-        return sum((1 << i) for i, b in enumerate(bits) if b == "1")
-
-    expect("[")
-    expect("[")
-    # the domain block fixes n; element j must encode index j
-    count = 0
-    indices = []
-    while peek() == "[":
-        # width is unknown until the block closes; scan the raw bits
-        start = pos
-        pos += 1
-        bits = ""
-        while peek() in "01":
-            bits += s[pos]
-            pos += 1
-        expect("]")
-        indices.append(bits)
-        count += 1
-    expect("]")
-    n = count
-    if n < 2:
-        raise ParseError(f"domain block lists {n} elements, need >= 2")
-    width = ceil_log(n)
-    for j, bits in enumerate(indices):
-        if bits != _bits_lsb_first(j, width) or len(bits) != width:
-            raise ParseError(f"domain element {j} encoded as {bits!r}")
-    rels: dict[str, set] = {}
-    for name, arity in sig.relations:
-        expect("[")
-        tuples = set()
-        while peek() == "[":
-            expect("[")
-            t = []
-            while peek() == "[":
-                t.append(element(width))
-            expect("]")
-            if len(t) != arity:
-                raise ArityMismatch(f"{name} tuple of length {len(t)}, expected {arity}")
-            tuples.add(tuple(t))
-        expect("]")
-        rels[name] = tuples
-    expect("]")
-    if pos != len(s):
-        raise ParseError(f"trailing input at position {pos}")
-    return Structure(sig, n, rels)
+    bad = re.search(r"[^01\[\]]", s)
+    if bad:
+        raise ParseError(f"unexpected {bad.group()!r} at position {bad.start()}")
+    stack: list = [[]]  # a list joins its parent on opening: unclosed ones stay
+    for tok in re.findall(r"[01]+|.", s):  # runs of bits and single brackets
+        if tok == "[":
+            stack[-1].append([])
+            stack.append(stack[-1][-1])
+        elif tok != "]":
+            stack[-1].append(int(tok[::-1], 2))
+        elif len(stack) > 1:
+            stack.pop()
+    top = stack[0][0] if stack[0] else None
+    domain, *blocks = top if type(top) is list and top else [[]]
+    n = max(2, len(domain) if type(domain) is list else 0)
+    rels = {name: {t for t in map(_tuple, block) if t is not None and max(t, default=0) < n}
+            for name, block in zip(sig.names, blocks) if type(block) is list}
+    a = Structure(sig, n, rels)
+    t = enc_structure(a)
+    if t != s:
+        raise ParseError(f"not an encoding: differs from the encoding of the "
+                         f"structure it spells at position {len(commonprefix((s, t)))}")
+    return a
 
 
 def j_encode(u_size: int, s: Union[Sequence[tuple], frozenset, set]) -> str:
@@ -156,18 +123,19 @@ def j_preimage(u_size: int, w: str, k: int) -> frozenset:
     width = ceil_log(u_size)
     if width < 2:
         raise DomainTooSmall(f"ceil_log({u_size}) = {width} < 2")
+    if k < 0:
+        raise UnsupportedShape(f"exponent k = {k} < 0")
+    bad = re.search("[^01]", w)
+    if bad:
+        raise ParseError(f"unexpected {bad.group()!r} at position {bad.start()}")
     chunk = width - 1
     if len(w) % chunk != 0:
         raise NotChunkAligned(f"length {len(w)} not a multiple of {chunk}")
     count = len(w) // chunk
     if count > log_pow(u_size, k):
         raise TooManyChunks(f"{count} chunks exceeds bound {log_pow(u_size, k)}")
-    tuples = set()
-    for i in range(count):
-        bits = w[i * chunk:(i + 1) * chunk]
-        b = sum((1 << j) for j, bit in enumerate(bits) if bit == "1")
-        tuples.add((i % u_size, b))
-    return frozenset(tuples)
+    return frozenset((i % u_size, int(w[i * chunk:(i + 1) * chunk][::-1], 2))
+                     for i in range(count))
 
 
 def to_string_structure(a: Structure) -> StringStructure:

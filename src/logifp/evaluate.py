@@ -111,10 +111,7 @@ def _term_value(a: Structure, t, env: dict) -> int:
     if type(t) is LogN:
         if not a.sig.ordered:
             raise OrderUsedUnordered("logn needs the built-in order")
-        v = ceil_log(a.n)
-        if v >= a.n:
-            raise OutOfRange(f"logn = {v} not in [0,{a.n})")
-        return v
+        return ceil_log(a.n)  # < n for every n >= 1
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -528,6 +525,8 @@ def gc_check(u: StringStructure, k: int, c: int,
     in length-then-lex order; returns (True, first witness) or (False, None)."""
     if k < 0:
         raise UnsupportedShape(f"exponent k = {k} < 0")
+    if c < 0:
+        raise UnsupportedShape(f"factor c = {c} < 0")
     bound = c * log_pow(u.n, k)
     for length in range(bound + 1):
         for bits in itertools.product("01", repeat=length):

@@ -349,6 +349,9 @@ def test_eval_deep_conjunction(tmp_path, capsys):
     ["gc-run", "--string", "0", "--k", "-1", "--c", "1", "--formula", "Ex. P0(x)"],
     ["eval", "--string", "", "--formula", "Ex. x=x"],
     ["check", "--formula-file", ""],
+    ["gc-run", "--string", "01", "--k", "1", "--c", "-1", "--formula", "Ex. P0(x)"],
+    ["jdecode", "--n", "4", "--bits", "2"],
+    ["jdecode", "--n", "8", "--bits", "110000", "--k", "-1"],
 ])
 def test_bad_arguments_exit_code(argv, capsys):
     code, out = run(argv, capsys)

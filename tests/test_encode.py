@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -20,12 +21,14 @@ from logifp.encode import (
 from logifp.errors import (
     ArityMismatch,
     DomainTooSmall,
+    LogifpError,
     NotChunkAligned,
     Overflow,
     OutOfRange,
     ParseError,
     TooManyChunks,
     Unordered,
+    UnsupportedShape,
 )
 
 ORDERED_DIGRAPH = Signature((("E", 2),), ordered=True)
@@ -100,11 +103,80 @@ def test_dec_round_trip_two_relation_signatures():
 def test_dec_rejects_corrupt_input():
     good = enc_structure(Structure(ORDERED_DIGRAPH, 2, {"E": {(0, 1)}}))
     for bad in (good[:-1], good + "]", good.replace("[1]", "[0]", 1),
-                "", "[]", "[[[0]][]]"):
+                "", "[]", "[[[0]][]]",
+                "[[[0][1]][[[1][0]][[0][1]]]]",  # tuples out of order
+                "[[[0][1]][[[0][1]][[0][1]]]]"):  # a repeated tuple
         with pytest.raises((ParseError, ArityMismatch)):
             dec_structure(bad, ORDERED_DIGRAPH)
     with pytest.raises(Unordered):
         dec_structure(good, Signature((("E", 2),)))
+
+
+def test_dec_errors_carry_a_position():
+    cases = [
+        ("[[[0][1]][]]x", "unexpected 'x' at position 12"),
+        # otherwise the first position where s and its re-encoding differ
+        ("[[[0][1]][]]]", "at position 12"),
+        ("[[[0][1]][]", "at position 11"),
+        ("[[[0][1]][[[1][0]][[0][1]]]]", "at position 12"),
+        ("[[[0][1]][[[0][1]][[0][1]]]]", "at position 18"),
+        ("[[[0]][]]", "at position 5"),
+        ("[[[0][1]][[[0][11]]]]", "at position 10"),  # component 3 of 2 elements
+        # a run of bits too long to print as a decimal number
+        ("[[[0][1]][[[0][" + "1" * 20000 + "]]]]", "at position 10"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ParseError, match=re.escape(message) + "$"):
+            dec_structure(text, ORDERED_DIGRAPH)
+
+
+def _one_flip_encodings(a):
+    """The encodings one character edit away from enc(a).  An edit of a
+    bracket unbalances the string, an inserted or deleted bit changes an
+    element's width, and a domain bit must spell its index, so such a
+    string flips one bit of one tuple component: it encodes `a` with that
+    bit flipped, when that keeps the tuples in range and increasing."""
+    s = enc_structure(a)
+    found = set()
+    for name in a.sig.names:
+        tuples = sorted(a.rels[name])
+        for i, t in enumerate(tuples):
+            for j, b in itertools.product(range(len(t)), range((a.n - 1).bit_length())):
+                c = t[j] ^ (1 << b)
+                if c < a.n:
+                    flipped = tuples[:i] + [t[:j] + (c,) + t[j + 1:]] + tuples[i + 1:]
+                    text = enc_structure(Structure(a.sig, a.n, {**a.rels, name: flipped}))
+                    if len(text) == len(s) and sum(x != y for x, y in zip(text, s)) == 1:
+                        found.add(text)
+    return found
+
+
+def test_dec_accepts_exactly_the_encodings():
+    # one-character edits of an encoding: substitutions, insertions, deletions
+    rng = random.Random(15)
+    flips = rejected = 0
+    for _ in range(120):
+        n = rng.randint(2, 6)
+        sig = Signature(tuple((name, rng.randint(1, 2))
+                              for name in ("E", "P")[:rng.randint(1, 2)]), ordered=True)
+        a = Structure(sig, n, {
+            name: {tuple(rng.randrange(n) for _ in range(arity))
+                   for _ in range(rng.randint(0, n))}
+            for name, arity in sig.relations})
+        s = enc_structure(a)
+        encodings = _one_flip_encodings(a) | {s}
+        for _ in range(30):
+            i, ch = rng.randrange(len(s) + 1), rng.choice("01[]x")
+            edit = rng.choice((s[:i] + ch + s[i + 1:], s[:i] + ch + s[i:], s[:i] + s[i + 1:]))
+            try:
+                b = dec_structure(edit, sig)
+            except LogifpError:
+                assert edit not in encodings
+                rejected += 1
+            else:
+                assert enc_structure(b) == edit and edit in encodings
+                flips += edit != s
+    assert flips >= 10 and rejected >= 1000
 
 
 def test_ordered_strings_encode_differently():
@@ -155,6 +227,10 @@ def test_j_preimage_errors():
         j_preimage(8, "01" * 4, 1)  # 4 chunks > ceil_log(8) = 3
     with pytest.raises(DomainTooSmall):
         j_preimage(2, "", 1)
+    with pytest.raises(ParseError):
+        j_preimage(4, "2", 1)  # only 0 and 1 are bits
+    with pytest.raises(UnsupportedShape):
+        j_preimage(8, "110000", -1)
 
 
 def test_j_encode_after_preimage_is_identity():

@@ -667,3 +667,9 @@ def test_gc_check_rejects_negative_exponent():
     for text in ("0", "0101"):
         with pytest.raises(LogifpError):
             gc_check(from_text(text), -1, 1, lambda candidate: True)
+
+
+def test_gc_check_rejects_negative_factor():
+    for text in ("0", "0101"):
+        with pytest.raises(LogifpError):
+            gc_check(from_text(text), 1, -1, lambda candidate: True)
