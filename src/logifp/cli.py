@@ -55,8 +55,7 @@ def _parse_tuples(text: str) -> list:
 
 
 def _sig_from_file(path: str) -> core.Signature:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = core.read_json(path, "signature")
     try:
         rels = doc["signature"] if "signature" in doc else doc["relations"]
         return core.Signature(tuple((n, int(a)) for n, a in rels),
@@ -169,7 +168,7 @@ def run_command(argv) -> int:
     except (ResourceLimit, RecursionError) as exc:
         out.emit("error", f"resource limit: {exc}")
         return 3
-    except (LogifpError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (LogifpError, OSError, UnicodeDecodeError) as exc:
         out.emit("error", f"{type(exc).__name__}: {exc}")
         return 2
 

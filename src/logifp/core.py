@@ -84,6 +84,14 @@ class Signature:
         return Signature(self.relations + tuple(extra), self.ordered)
 
 
+def _shown(x) -> str:
+    """repr(x), unless an integer in it is past Python's int-to-string limit."""
+    try:
+        return repr(x)
+    except ValueError:
+        return "<an integer too long to print>"
+
+
 class Structure:
     """Immutable finite structure over a Signature.
 
@@ -101,10 +109,11 @@ class Structure:
             tuples = frozenset(tuple(t) for t in rels.get(name, ()))
             for t in tuples:
                 if len(t) != arity:
-                    raise ArityMismatch(f"{name} expects arity {arity}, got tuple {t}")
+                    raise ArityMismatch(f"{name} expects arity {arity}, got tuple {_shown(t)}")
                 for comp in t:
                     if not (0 <= comp < n):
-                        raise OutOfRange(f"component {comp} of {name}{t} not in [0,{n})")
+                        raise OutOfRange(f"component {_shown(comp)} of {name}{_shown(t)} "
+                                         f"not in [0,{_shown(n)})")
             interp[name] = tuples
         for name in rels:
             if not sig.has(name):
@@ -212,9 +221,18 @@ def structure_from_json(doc: dict) -> Structure:
         raise ParseError(f"malformed structure document: {type(exc).__name__}: {exc}") from exc
 
 
-def load_structure(path: str) -> Structure:
+def read_json(path: str, kind: str):
+    """The JSON document in the file at `path`, a `kind` document."""
     with open(path, "r", encoding="utf-8") as fh:
-        return structure_from_json(json.load(fh))
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # also an integer past Python's int-to-string limit
+        raise ParseError(f"malformed {kind} document: {type(exc).__name__}: {exc}") from exc
+
+
+def load_structure(path: str) -> Structure:
+    return structure_from_json(read_json(path, "structure"))
 
 
 def save_structure(a: Structure, path: str) -> None:

@@ -13,14 +13,17 @@ Grammar (ASCII):
 
 Element variables are lowercase identifiers, relation names and relation
 variables are uppercase identifiers.  "Ex" lexes as the quantifier E over
-variable x when followed by "."; "E(x,y)" stays an atom.
+variable x when followed by "."; "E(x,y)" stays an atom.  Every traversal
+is a table of handlers on `fold`, so none is limited by Python's recursion limit.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 from operator import attrgetter
+from types import FunctionType
 
 from .core import Signature
 from .errors import (
@@ -163,33 +166,25 @@ Formula = (
     | Exists | Forall | Ifp | ExistsLog | ForallLog
 )
 
-_BINARY = {And: "&", Or: "|", Implies: "->"}
-
 
 def conj(parts) -> Formula:
     parts = list(parts)
     if not parts:
         raise ValueError("empty conjunction")
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    return reduce(And, parts)
 
 
 def disj(parts) -> Formula:
     parts = list(parts)
     if not parts:
         raise ValueError("empty disjunction")
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+    return reduce(Or, parts)
 
 
 # --- traversal ---
 
 _ATOMIC = (Atom, Eq, Less, Bit)
-_BINDERS = (Exists, Forall, ExistsLog, ForallLog, Ifp)
+_BINARY = (And, Or, Implies)
 
 _TERMS = {
     Atom: attrgetter("args"),
@@ -207,38 +202,72 @@ def terms(g: Formula) -> tuple:
     return get(g) if get else ()
 
 
-def walk(f: Formula):
-    """Pre-order over the atomic formulas, quantifiers and fixed points of
-    `f`, passing through And/Or/Implies/Not without yielding them.
+def _not_a_formula(g, *_):
+    raise TypeError(f"not a formula: {g!r}")
 
-    Yields (node, frozenset of element variables bound above it,
-    {relation variable: arity} bound above it, number of log-quantifiers
-    above it); the set and the dict are shared between nodes, so callers
-    must not mutate them.  An explicit stack replaces recursion, so the
-    depth of `f` is not limited by Python's recursion limit.
-    """
-    stack = [(f, frozenset(), {}, 0)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        g, bound, rels, nlog = item = pop()
-        t = type(g)
-        if t in _ATOMIC:
-            yield item
-        elif t in _BINARY:
-            push((g.right, bound, rels, nlog))
-            push((g.left, bound, rels, nlog))
-        elif t is Not:
-            push((g.body, bound, rels, nlog))
-        elif t in _BINDERS:
-            yield item
-            if t is Exists or t is Forall:
-                push((g.body, bound | {g.var}, rels, nlog))
-            elif t is Ifp:
-                push((g.body, bound.union(g.vars), {**rels, g.relvar: len(g.vars)}, nlog))
-            else:
-                push((g.body, bound, {**rels, g.relvar: g.arity}, nlog + 1))
-        else:
-            raise TypeError(f"not a formula: {g!r}")
+
+def fold(f: Formula, ctx, table: dict) -> list:
+    """The one formula traversal: a loop over a stack of (node, context)
+    entries that calls table[type(node)](node, context, done, push) and returns
+    the list `done`.  A handler appends the node's value to `done` or pushes a
+    list of entries, the last handled first; an entry (finisher, data) pushed
+    before a node's subformulas runs after them where the table extends REBUILD."""
+    stack, done = [None, (f, ctx)], []  # the stack is popped down to the None
+    push, get = stack.extend, table.get
+    for g, c in iter(stack.pop, None):
+        get(type(g), _not_a_formula)(g, c, done, push)
+    return done
+
+
+def _refill(template, done, push):
+    """Finisher: the node cls(*head, folded body, *tail) of a template."""
+    cls, head, tail = template
+    done.append(cls(*head, done.pop(), *tail))
+
+
+def _join(cls, done, push):
+    done.append(cls(done.pop(-2), done.pop()))
+
+
+# the same node around its folded subformulas, which keep the context
+REBUILD = {
+    FunctionType: FunctionType.__call__,  # (finisher, data): finisher(data, done, push)
+    Not: lambda g, c, done, push: push([(_refill, (Not, (), ())), (g.body, c)]),
+    **dict.fromkeys((ExistsLog, ForallLog), lambda g, c, done, push: push(
+        [(_refill, (type(g), (g.k, g.relvar, g.arity), ())), (g.body, c)])),
+    **dict.fromkeys(_BINARY, lambda g, c, done, push: push([(_join, type(g)), (g.right, c),
+                                                            (g.left, c)])),
+}
+
+# the context of a binder's body from the binder and its own context
+_BINDS = {
+    Exists: lambda g, bound, rels, nlog: (bound | {g.var}, rels, nlog),
+    Forall: lambda g, bound, rels, nlog: (bound | {g.var}, rels, nlog),
+    ExistsLog: lambda g, bound, rels, nlog: (bound, {**rels, g.relvar: g.arity}, nlog + 1),
+    ForallLog: lambda g, bound, rels, nlog: (bound, {**rels, g.relvar: g.arity}, nlog + 1),
+    Ifp: lambda g, bound, rels, nlog: (bound.union(g.vars), {**rels, g.relvar: len(g.vars)}, nlog),
+}
+
+
+def _walk_binder(g, c, done, push):
+    done.append((g, *c))
+    push([(g.body, _BINDS[type(g)](g, *c))])
+
+
+_WALK = {
+    **dict.fromkeys(_ATOMIC, lambda g, c, done, push: done.append((g, *c))),
+    Not: lambda g, c, done, push: push([(g.body, c)]),
+    **dict.fromkeys(_BINARY, lambda g, c, done, push: push([(g.right, c), (g.left, c)])),
+    **dict.fromkeys(_BINDS, _walk_binder),
+}
+
+
+def walk(f: Formula) -> list:
+    """The atomic formulas, quantifiers and fixed points of `f` in pre-order,
+    as (node, frozenset of element variables bound above it, {relation
+    variable: arity} bound above it, number of log-quantifiers above it);
+    the set and the dict are shared, so callers must not mutate them."""
+    return fold(f, (frozenset(), {}, 0), _WALK)
 
 
 def _element_names(g: Formula, out: set):
@@ -252,48 +281,35 @@ def _element_names(g: Formula, out: set):
 
 
 # --- pretty printer ---
+# The context is (operand, before, after): whether the node is an operand (a
+# quantifier then needs brackets) and the text that comes before and after it.
+
+_INFIX = {And: " & ", Or: " | ", Implies: " -> "}
+_HEADS = {Exists: "E{0.var}. ", Forall: "A{0.var}. ",
+          ExistsLog: "E2log[{0.k}] {0.relvar}:{0.arity} . ",
+          ForallLog: "A2log[{0.k}] {0.relvar}:{0.arity} . "}
+
+_PRETTY = {
+    Atom: lambda g, c, done, push: done.append(
+        f"{c[1]}{g.name}({','.join(map(str, g.args))}){c[2]}"),
+    Eq: lambda g, c, done, push: done.append(f"{c[1]}{g.left}={g.right}{c[2]}"),
+    Less: lambda g, c, done, push: done.append(f"{c[1]}{g.left}<{g.right}{c[2]}"),
+    Bit: lambda g, c, done, push: done.append(f"{c[1]}BIT({g.value},{g.index}){c[2]}"),
+    Not: lambda g, c, done, push: push([(g.body, (True, c[1] + "!", c[2])
+                                         if type(g.body) in (Atom, Eq, Less, Bit, Ifp)
+                                         else (False, c[1] + "!(", ")" + c[2]))]),
+    **dict.fromkeys(_BINARY, lambda g, c, done, push: push([
+        (g.right, (True, "", ")" + c[2])), (g.left, (True, c[1] + "(", _INFIX[type(g)]))])),
+    **dict.fromkeys(_HEADS, lambda g, c, done, push: push([
+        (g.body, (False, c[1] + "(" * c[0] + _HEADS[type(g)].format(g), ")" * c[0] + c[2]))])),
+    Ifp: lambda g, c, done, push: push([
+        (g.body, (False, f"{c[1]}ifp[{g.relvar}({','.join(g.vars)}) <- ",
+                  f"]({','.join(map(str, g.terms))}){c[2]}"))]),
+}
 
 
 def pretty(f: Formula) -> str:
-    return _pp(f, operand=False)
-
-
-def _pp(f: Formula, operand: bool) -> str:
-    t = type(f)
-    if t is Atom:
-        return f"{f.name}({','.join(str(a) for a in f.args)})"
-    if t is Eq:
-        return f"{f.left}={f.right}"
-    if t is Less:
-        return f"{f.left}<{f.right}"
-    if t is Bit:
-        return f"BIT({f.value},{f.index})"
-    if t is Not:
-        inner = f.body
-        if type(inner) in (Atom, Eq, Less, Bit, Ifp):
-            return "!" + _pp(inner, True)
-        return "!(" + _pp(inner, False) + ")"
-    if t in _BINARY:
-        # a left-nested chain such as conj builds: one loop, not a frame per link
-        closes = []
-        while type(f) in _BINARY:
-            closes.append(f" {_BINARY[type(f)]} {_pp(f.right, True)})")
-            f = f.left
-        return "(" * len(closes) + _pp(f, True) + "".join(reversed(closes))
-    if t is Exists:
-        s = f"E{f.var}. {_pp(f.body, False)}"
-    elif t is Forall:
-        s = f"A{f.var}. {_pp(f.body, False)}"
-    elif t is ExistsLog:
-        s = f"E2log[{f.k}] {f.relvar}:{f.arity} . {_pp(f.body, False)}"
-    elif t is ForallLog:
-        s = f"A2log[{f.k}] {f.relvar}:{f.arity} . {_pp(f.body, False)}"
-    elif t is Ifp:
-        head = f"{f.relvar}({','.join(f.vars)})"
-        return f"ifp[{head} <- {_pp(f.body, False)}]({','.join(str(x) for x in f.terms)})"
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    return f"({s})" if operand else s
+    return "".join(fold(f, (False, "", ""), _PRETTY))
 
 
 # --- lexer ---

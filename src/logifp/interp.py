@@ -4,17 +4,18 @@ realizes the relation-to-bitstring encoding as formulas.
 
 Member formulas use the canonical variable convention x1..x{w} for the
 universe formula, x1..x{arity*w} for each target relation and x1..x{2w}
-for the optional order formula.
+for the optional order formula.  Renaming and the backward translation are
+handler tables on `formula.fold`, so formulas of any depth translate.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Optional
 
-from .core import STR_SIG, Signature, Structure, ceil_log
+from .core import STR_SIG, Signature, Structure, ceil_log, read_json
 from .errors import (
     ArityOverflow,
     EmptyUniverse,
@@ -42,12 +43,16 @@ from .formula import (
     LogN,
     Not,
     Or,
+    REBUILD,
     Var,
     _element_names,
+    _refill,
     conj,
     disj,
+    fold,
     parse_formula,
     pretty,
+    terms,
     validate,
     walk,
 )
@@ -105,22 +110,14 @@ def apply_interpretation(i: Interpretation, a: Structure) -> Structure:
         raise EmptyUniverse("no tuple satisfies the universe formula")
     if i.less is not None:
         names = canon_vars(2 * w)
-        less = {
-            (t, u): evaluate(a, i.less, dict(zip(names, t + u)))
-            for t in universe
-            for u in universe
-        }
-        below = {t: sum(1 for u in universe if less[(u, t)]) for t in universe}
-        for t in universe:
-            if less[(t, t)]:
-                raise NotLinearOrder(f"order is reflexive at {t}")
-        if sorted(below.values()) != list(range(len(universe))):
-            raise NotLinearOrder("order formula is not a strict linear order on the universe")
-        for t in universe:
-            for u in universe:
-                if less[(t, u)] != (below[t] < below[u]):
-                    raise NotLinearOrder(f"order formula is not transitive at ({t}, {u})")
+        less = {(t, u): evaluate(a, i.less, dict(zip(names, t + u)))
+                for t in universe for u in universe}
+        # a strict linear order is the order of the number of tuples below
+        below = {t: sum(less[(u, t)] for u in universe) for t in universe}
         universe.sort(key=below.__getitem__)
+        for (j, t), (k, u) in itertools.product(enumerate(universe), repeat=2):
+            if less[(t, u)] != (j < k):
+                raise NotLinearOrder(f"order formula is not a strict linear order at {t}, {u}")
     index = {t: j for j, t in enumerate(universe)}
     rels: dict[str, set] = {}
     for name, arity in i.target.relations:
@@ -158,64 +155,53 @@ def _collect_names(f: Formula, out: set):
             out.add(g.relvar)
 
 
+def _renamed(ts: tuple, vm: dict) -> tuple:
+    return tuple([Var(vm.get(x.name, x.name)) if type(x) is Var else x for x in ts])
+
+
+def _rename_quantifier(g, c, done, push):
+    vm, gensym = c
+    fresh = gensym.fresh("v")
+    push([(_refill, (type(g), (fresh,), ())), (g.body, ({**vm, g.var: fresh}, gensym))])
+
+
+def _rename_ifp(g, c, done, push):
+    vm, gensym = c
+    fresh = tuple(gensym.fresh("v") for _ in g.vars)
+    push([(_refill, (Ifp, (fresh, g.relvar), (_renamed(g.terms, vm),))),
+          (g.body, ({**vm, **dict(zip(g.vars, fresh))}, gensym))])
+
+
+_RENAME = {  # context: (varmap, gensym)
+    **REBUILD,
+    Atom: lambda g, c, done, push: done.append(Atom(g.name, _renamed(g.args, c[0]))),
+    **dict.fromkeys((Eq, Less, Bit),
+                    lambda g, c, done, push: done.append(type(g)(*_renamed(terms(g), c[0])))),
+    **dict.fromkeys((Exists, Forall), _rename_quantifier),
+    Ifp: _rename_ifp,
+}
+
+
 def _rename(f: Formula, varmap: dict, gensym: _Gensym) -> Formula:
     """Substitute free element variables per varmap, renaming every binder
     to a fresh name so capture is impossible."""
-
-    def term(x, vm):
-        if type(x) is Var:
-            return Var(vm.get(x.name, x.name))
-        return x
-
-    def walk(g, vm):
-        t = type(g)
-        if t is Atom:
-            return Atom(g.name, tuple(term(x, vm) for x in g.args))
-        if t is Eq:
-            return Eq(term(g.left, vm), term(g.right, vm))
-        if t is Less:
-            return Less(term(g.left, vm), term(g.right, vm))
-        if t is Bit:
-            return Bit(term(g.value, vm), term(g.index, vm))
-        if t is Not:
-            return Not(walk(g.body, vm))
-        if t in (And, Or, Implies):
-            return t(walk(g.left, vm), walk(g.right, vm))
-        if t in (Exists, Forall):
-            fresh = gensym.fresh("v")
-            return t(fresh, walk(g.body, {**vm, g.var: fresh}))
-        if t in (ExistsLog, ForallLog):
-            return t(g.k, g.relvar, g.arity, walk(g.body, vm))
-        if t is Ifp:
-            fresh_vars = tuple(gensym.fresh("v") for _ in g.vars)
-            inner = {**vm, **dict(zip(g.vars, fresh_vars))}
-            return Ifp(
-                fresh_vars,
-                g.relvar,
-                walk(g.body, inner),
-                tuple(term(x, vm) for x in g.terms),
-            )
-        raise TypeError(f"not a formula: {g!r}")
-
-    return walk(f, dict(varmap))
+    return fold(f, (varmap, gensym), _RENAME)[0]
 
 
 def transform_formula(f: Formula, i: Interpretation) -> Formula:
     """Backward translation: element variables become width-w tuples,
     target atoms become their defining formulas, quantifiers are
     relativized to the universe formula, and fixed-point variables widen
-    from arity l to arity l*width."""
+    from arity l to arity l*width.  Fresh names are drawn in pre-order, but
+    the universe guards of a binder after its body."""
     w = i.width
-    used: set[str] = set()
-    _collect_names(f, used)
-    _collect_names(i.uni, used)
-    for g in i.rels.values():
-        _collect_names(g, used)
-    if i.less is not None:
-        _collect_names(i.less, used)
-    gensym = _Gensym(used)
+    gensym = _Gensym(())
+    for g in (f, i.uni, *i.rels.values(), i.less):
+        if g is not None:
+            _collect_names(g, gensym.used)
 
-    # first uses of free names; bound names travel down the walk
+    # first uses of free names; the context holds the bound ones:
+    # ({element variable: tuple of names}, {relation variable: widened name})
     free_elems: dict[str, tuple[str, ...]] = {}
     free_rels: dict[str, str] = {}
 
@@ -225,79 +211,71 @@ def transform_formula(f: Formula, i: Interpretation) -> Formula:
     def tuple_of(x, elems: dict) -> tuple[str, ...]:
         if type(x) is not Var:
             raise UnsupportedTerm(f"term {x} cannot be widened to a tuple")
-        names = elems.get(x.name) or free_elems.get(x.name)
-        if names is None:
-            names = free_elems[x.name] = fresh_tuple(x.name)
-        return names
+        return (elems.get(x.name) or free_elems.get(x.name)
+                or free_elems.setdefault(x.name, fresh_tuple(x.name)))
 
     def uni_at(names: tuple[str, ...]) -> Formula:
         return _rename(i.uni, dict(zip(canon_vars(w), names)), gensym)
 
-    def walk(g: Formula, elems: dict, rels: dict) -> Formula:
-        t = type(g)
-        if t is Atom:
-            flat = tuple(n for x in g.args for n in tuple_of(x, elems))
-            if g.name in i.rels:
-                params = canon_vars(len(g.args) * w)
-                return _rename(i.rels[g.name], dict(zip(params, flat)), gensym)
-            widened = rels.get(g.name) or free_rels.get(g.name)
-            if widened is None:
-                widened = free_rels[g.name] = gensym.fresh(g.name)
-            return Atom(widened, tuple(Var(n) for n in flat))
-        if t is Eq:
-            lt, rt = tuple_of(g.left, elems), tuple_of(g.right, elems)
-            return conj(Eq(Var(a), Var(b)) for a, b in zip(lt, rt))
-        if t is Less:
-            if i.less is None:
-                raise UnsupportedTerm("'<' in the source formula but no order formula")
-            flat = tuple_of(g.left, elems) + tuple_of(g.right, elems)
-            return _rename(i.less, dict(zip(canon_vars(2 * w), flat)), gensym)
-        if t is Bit:
-            raise UnsupportedTerm("BIT does not translate through an interpretation")
-        if t is Not:
-            return Not(walk(g.body, elems, rels))
-        if t in (And, Or, Implies):
-            return t(walk(g.left, elems, rels), walk(g.right, elems, rels))
-        if t in (Exists, Forall):
-            names = fresh_tuple(g.var)
-            body = walk(g.body, {**elems, g.var: names}, rels)
-            guard = uni_at(names)
-            inner = And(guard, body) if t is Exists else Implies(guard, body)
-            for name in reversed(names):
-                inner = t(name, inner)
-            return inner
-        if t in (ExistsLog, ForallLog):
-            raise LogQuantifierUnsupported("log-quantifiers do not translate")
-        if t is Ifp:
-            flat_terms = tuple(Var(n) for x in g.terms for n in tuple_of(x, elems))
-            widened = gensym.fresh(g.relvar)
-            blocks = [fresh_tuple(y) for y in g.vars]
-            body = walk(g.body, {**elems, **dict(zip(g.vars, blocks))},
-                        {**rels, g.relvar: widened})
-            guards = conj(uni_at(block) for block in blocks)
-            flat_vars = tuple(n for block in blocks for n in block)
-            return Ifp(flat_vars, widened, And(guards, body), flat_terms)
-        raise TypeError(f"not a formula: {g!r}")
+    def atom(g, c, done, push):
+        elems, rels = c
+        flat = tuple(n for x in g.args for n in tuple_of(x, elems))
+        if g.name in i.rels:
+            params = canon_vars(len(g.args) * w)
+            done.append(_rename(i.rels[g.name], dict(zip(params, flat)), gensym))
+        else:
+            widened = (rels.get(g.name) or free_rels.get(g.name)
+                       or free_rels.setdefault(g.name, gensym.fresh(g.name)))
+            done.append(Atom(widened, tuple(Var(n) for n in flat)))
 
-    return walk(f, {}, {})
+    def equality(g, c, done, push):
+        pairs = zip(tuple_of(g.left, c[0]), tuple_of(g.right, c[0]))
+        done.append(conj(Eq(Var(a), Var(b)) for a, b in pairs))
 
+    def less(g, c, done, push):
+        if i.less is None:
+            raise UnsupportedTerm("'<' in the source formula but no order formula")
+        flat = tuple_of(g.left, c[0]) + tuple_of(g.right, c[0])
+        done.append(_rename(i.less, dict(zip(canon_vars(2 * w), flat)), gensym))
 
-def _lex_less(left: tuple[str, ...], right: tuple[str, ...]) -> Formula:
-    """Strict lexicographic comparison as a plain formula."""
-    assert len(left) == len(right) and left
-    a, b = Var(left[0]), Var(right[0])
-    head = Less(a, b)
-    if len(left) == 1:
-        return head
-    return Or(head, And(Eq(a, b), _lex_less(left[1:], right[1:])))
+    def bit(g, *_):
+        raise UnsupportedTerm("BIT does not translate through an interpretation")
+
+    def log_quantifier(g, *_):
+        raise LogQuantifierUnsupported("log-quantifiers do not translate")
+
+    def quantifier(g, c, done, push):
+        names = fresh_tuple(g.var)
+        push([(relativize, (type(g), names)), (g.body, ({**c[0], g.var: names}, c[1]))])
+
+    def relativize(q, done, push):  # the guard's names are drawn after the body's
+        t, names = q
+        guarded = (And if t is Exists else Implies)(uni_at(names), done[-1])
+        done[-1] = reduce(lambda body, name: t(name, body), reversed(names), guarded)
+
+    def fixed_point(g, c, done, push):
+        elems, rels = c
+        flat_terms = tuple(Var(n) for x in g.terms for n in tuple_of(x, elems))
+        widened = gensym.fresh(g.relvar)
+        blocks = [fresh_tuple(y) for y in g.vars]
+        push([(guard_stages, (widened, blocks, flat_terms)),
+              (g.body, ({**elems, **dict(zip(g.vars, blocks))}, {**rels, g.relvar: widened}))])
+
+    def guard_stages(p, done, push):  # as relativize, after the body
+        widened, blocks, flat_terms = p
+        guards = conj(uni_at(block) for block in blocks)
+        done[-1] = Ifp(sum(blocks, ()), widened, And(guards, done[-1]), flat_terms)
+
+    table = {**REBUILD, Atom: atom, Eq: equality, Less: less, Bit: bit,
+             Exists: quantifier, Forall: quantifier, Ifp: fixed_point,
+             ExistsLog: log_quantifier, ForallLog: log_quantifier}
+    return fold(f, ({}, {}), table)[0]
 
 
-def _binary_of(value: int, names: tuple[str, ...]) -> list[Formula]:
-    """Equality literals pinning names to value's bits, LSB first."""
-    return [
-        Eq(Var(name), Lit((value >> j) & 1))
-        for j, name in enumerate(names)
-    ]
+def _lex_less(left: list, right: list) -> Formula:
+    """Strict lexicographic comparison of two non-empty lists of names."""
+    *pairs, (a, b) = [(Var(a), Var(b)) for a, b in zip(left, right)]
+    return reduce(lambda rest, ab: Or(Less(*ab), And(Eq(*ab), rest)), reversed(pairs), Less(a, b))
 
 
 def build_J_reduction(r: int) -> Interpretation:
@@ -317,15 +295,13 @@ def build_J_reduction(r: int) -> Interpretation:
     x1, x2, x3, x4, x5, y = x[:6]
     zs = x[6:]
 
-    def zero(*names):
-        return [Eq(Var(name), Lit(0)) for name in names]
+    def pin(value: int, *names) -> list[Formula]:
+        return [Eq(Var(name), Lit(value)) for name in names]
 
     # family 1: the original string, one element per position (x4)
-    fam1 = conj([Eq(Var(x1), Lit(0)), Eq(Var(x2), Lit(0))]
-                + zero(x3, x5, y, *zs))
+    fam1 = conj(pin(0, x1, x2, x3, x5, y, *zs))
     # family 2: the single '#' separator
-    fam2 = conj([Eq(Var(x1), Lit(0)), Eq(Var(x2), Lit(1))]
-                + zero(x3, x4, x5, y, *zs))
+    fam2 = conj(pin(0, x1) + pin(1, x2) + pin(0, x3, x4, x5, y, *zs))
     # family 3: one element per (relation, tuple, bit position); x4 is the
     # emitted bit of the second component's binary expansion
     t = "b0"  # fresh; canonical names are x1..
@@ -337,35 +313,27 @@ def build_J_reduction(r: int) -> Interpretation:
     per_rel = []
     for j in range(r):
         clause = [Atom(f"R{j + 1}", (Var(x5), Var(y)))]
-        clause += _binary_of(j, zs)
+        clause += [Eq(Var(z), Lit((j >> b) & 1)) for b, z in enumerate(zs)]  # j, LSB first
         clause += [guard, bit_match]
         per_rel.append(conj(clause))
-    fam3 = conj([Eq(Var(x1), Lit(1)), Eq(Var(x2), Lit(1)), disj(per_rel)])
+    fam3 = conj(pin(1, x1, x2) + [disj(per_rel)])
 
     uni = disj([fam1, fam2, fam3])
 
     # order: family flags first, then relation index, then the tuple in
     # lexicographic order, then bit position, then the position/bit value
     significance = [x1, x2, *zs, x5, y, x3, x4]
-    left = canon_vars(2 * w)[:w]
-    right = canon_vars(2 * w)[w:]
-    pos_of = {name: idx for idx, name in enumerate(x)}
-    less = _lex_less(
-        tuple(left[pos_of[name]] for name in significance),
-        tuple(right[pos_of[name]] for name in significance),
-    )
+    right = dict(zip(x, canon_vars(2 * w)[w:]))  # the second tuple's copy of each name
+    less = _lex_less(significance, [right[name] for name in significance])
 
     def char_formula(pred: str, extra_family=None) -> Formula:
-        base = conj([Eq(Var(x1), Lit(0)), Eq(Var(x2), Lit(0)),
-                     Atom(pred, (Var(x4),))])
+        base = conj(pin(0, x1, x2) + [Atom(pred, (Var(x4),))])
         return base if extra_family is None else Or(base, extra_family)
 
     rels = {
-        "P0": char_formula("P0", conj([Eq(Var(x1), Lit(1)), Eq(Var(x2), Lit(1)),
-                                       Eq(Var(x4), Lit(0))])),
-        "P1": char_formula("P1", conj([Eq(Var(x1), Lit(1)), Eq(Var(x2), Lit(1)),
-                                       Eq(Var(x4), Lit(1))])),
-        "PH": char_formula("PH", conj([Eq(Var(x1), Lit(0)), Eq(Var(x2), Lit(1))])),
+        "P0": char_formula("P0", conj(pin(1, x1, x2) + pin(0, x4))),
+        "P1": char_formula("P1", conj(pin(1, x1, x2, x4))),
+        "PH": char_formula("PH", conj(pin(0, x1) + pin(1, x2))),
         "PL": char_formula("PL"),
         "PR": char_formula("PR"),
     }
@@ -411,5 +379,4 @@ def interpretation_from_json(doc: dict) -> Interpretation:
 
 
 def load_interpretation(path: str) -> Interpretation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return interpretation_from_json(json.load(fh))
+    return interpretation_from_json(read_json(path, "interpretation"))

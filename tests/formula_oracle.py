@@ -1,9 +1,12 @@
 """Recursive reference implementations of validate, metrics,
 element_variables and interp._collect_names, the position-loop lexer and
 the recursive-descent parser, as they stood before logifp.formula.walk,
-the one-pass lexer and the operator-precedence parser.  Kept as a
-differential oracle for tests/test_formula.py; metrics returns the fields
-of logifp.formula.Metrics as a plain tuple in declaration order.  The
+the one-pass lexer and the operator-precedence parser; and the generator
+walk, the recursive printer and the recursive interp._rename and
+interp.transform_formula, as they stood before logifp.formula.fold.  Kept
+as a differential oracle for tests/test_formula.py and
+tests/test_interp.py; metrics returns the fields of
+logifp.formula.Metrics as a plain tuple in declaration order.  The
 parser reads the tokens of logifp.formula._tokenize, so that it and
 logifp.formula.parse_formula differ only in the parser."""
 
@@ -14,8 +17,10 @@ from logifp.errors import (
     ArityMismatch,
     FormulaSyntaxError,
     IfpShapeError,
+    LogQuantifierUnsupported,
     OrderUsedUnordered,
     UnknownRelation,
+    UnsupportedTerm,
 )
 from logifp.formula import _tokenize as _one_pass_tokenize
 from logifp.formula import (
@@ -37,7 +42,9 @@ from logifp.formula import (
     Or,
     Term,
     Var,
+    conj,
 )
+from logifp.interp import Interpretation, _Gensym, canon_vars
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<op>->|<-|[()\[\].,=<:!&|#]))"
@@ -486,3 +493,210 @@ def parse_formula(text: str) -> Formula:
     if kind != "eof":
         raise FormulaSyntaxError(pos, "end of input", val)
     return f
+
+
+# --- traversals before logifp.formula.fold ---
+
+_ATOMIC = (Atom, Eq, Less, Bit)
+_BINARY = {And: "&", Or: "|", Implies: "->"}
+_BINDERS = (Exists, Forall, ExistsLog, ForallLog, Ifp)
+
+
+def walk(f: Formula):
+    """Pre-order over the atomic formulas, quantifiers and fixed points of
+    `f`, passing through And/Or/Implies/Not without yielding them.
+
+    Yields (node, frozenset of element variables bound above it,
+    {relation variable: arity} bound above it, number of log-quantifiers
+    above it); the set and the dict are shared between nodes, so callers
+    must not mutate them.  An explicit stack replaces recursion, so the
+    depth of `f` is not limited by Python's recursion limit.
+    """
+    stack = [(f, frozenset(), {}, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        g, bound, rels, nlog = item = pop()
+        t = type(g)
+        if t in _ATOMIC:
+            yield item
+        elif t in _BINARY:
+            push((g.right, bound, rels, nlog))
+            push((g.left, bound, rels, nlog))
+        elif t is Not:
+            push((g.body, bound, rels, nlog))
+        elif t in _BINDERS:
+            yield item
+            if t is Exists or t is Forall:
+                push((g.body, bound | {g.var}, rels, nlog))
+            elif t is Ifp:
+                push((g.body, bound.union(g.vars), {**rels, g.relvar: len(g.vars)}, nlog))
+            else:
+                push((g.body, bound, {**rels, g.relvar: g.arity}, nlog + 1))
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+
+
+def pretty(f: Formula) -> str:
+    return _pp(f, operand=False)
+
+
+def _pp(f: Formula, operand: bool) -> str:
+    t = type(f)
+    if t is Atom:
+        return f"{f.name}({','.join(str(a) for a in f.args)})"
+    if t is Eq:
+        return f"{f.left}={f.right}"
+    if t is Less:
+        return f"{f.left}<{f.right}"
+    if t is Bit:
+        return f"BIT({f.value},{f.index})"
+    if t is Not:
+        inner = f.body
+        if type(inner) in (Atom, Eq, Less, Bit, Ifp):
+            return "!" + _pp(inner, True)
+        return "!(" + _pp(inner, False) + ")"
+    if t in _BINARY:
+        # a left-nested chain such as conj builds: one loop, not a frame per link
+        closes = []
+        while type(f) in _BINARY:
+            closes.append(f" {_BINARY[type(f)]} {_pp(f.right, True)})")
+            f = f.left
+        return "(" * len(closes) + _pp(f, True) + "".join(reversed(closes))
+    if t is Exists:
+        s = f"E{f.var}. {_pp(f.body, False)}"
+    elif t is Forall:
+        s = f"A{f.var}. {_pp(f.body, False)}"
+    elif t is ExistsLog:
+        s = f"E2log[{f.k}] {f.relvar}:{f.arity} . {_pp(f.body, False)}"
+    elif t is ForallLog:
+        s = f"A2log[{f.k}] {f.relvar}:{f.arity} . {_pp(f.body, False)}"
+    elif t is Ifp:
+        head = f"{f.relvar}({','.join(f.vars)})"
+        return f"ifp[{head} <- {_pp(f.body, False)}]({','.join(str(x) for x in f.terms)})"
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    return f"({s})" if operand else s
+
+
+def _rename(f: Formula, varmap: dict, gensym: _Gensym) -> Formula:
+    """Substitute free element variables per varmap, renaming every binder
+    to a fresh name so capture is impossible."""
+
+    def term(x, vm):
+        if type(x) is Var:
+            return Var(vm.get(x.name, x.name))
+        return x
+
+    def walk(g, vm):
+        t = type(g)
+        if t is Atom:
+            return Atom(g.name, tuple(term(x, vm) for x in g.args))
+        if t is Eq:
+            return Eq(term(g.left, vm), term(g.right, vm))
+        if t is Less:
+            return Less(term(g.left, vm), term(g.right, vm))
+        if t is Bit:
+            return Bit(term(g.value, vm), term(g.index, vm))
+        if t is Not:
+            return Not(walk(g.body, vm))
+        if t in (And, Or, Implies):
+            return t(walk(g.left, vm), walk(g.right, vm))
+        if t in (Exists, Forall):
+            fresh = gensym.fresh("v")
+            return t(fresh, walk(g.body, {**vm, g.var: fresh}))
+        if t in (ExistsLog, ForallLog):
+            return t(g.k, g.relvar, g.arity, walk(g.body, vm))
+        if t is Ifp:
+            fresh_vars = tuple(gensym.fresh("v") for _ in g.vars)
+            inner = {**vm, **dict(zip(g.vars, fresh_vars))}
+            return Ifp(
+                fresh_vars,
+                g.relvar,
+                walk(g.body, inner),
+                tuple(term(x, vm) for x in g.terms),
+            )
+        raise TypeError(f"not a formula: {g!r}")
+
+    return walk(f, dict(varmap))
+
+
+def transform_formula(f: Formula, i: Interpretation) -> Formula:
+    """Backward translation: element variables become width-w tuples,
+    target atoms become their defining formulas, quantifiers are
+    relativized to the universe formula, and fixed-point variables widen
+    from arity l to arity l*width."""
+    w = i.width
+    used: set[str] = set()
+    _collect_names(f, used)
+    _collect_names(i.uni, used)
+    for g in i.rels.values():
+        _collect_names(g, used)
+    if i.less is not None:
+        _collect_names(i.less, used)
+    gensym = _Gensym(used)
+
+    # first uses of free names; bound names travel down the walk
+    free_elems: dict[str, tuple[str, ...]] = {}
+    free_rels: dict[str, str] = {}
+
+    def fresh_tuple(var: str) -> tuple[str, ...]:
+        return tuple(gensym.fresh(f"{var}_") for _ in range(w))
+
+    def tuple_of(x, elems: dict) -> tuple[str, ...]:
+        if type(x) is not Var:
+            raise UnsupportedTerm(f"term {x} cannot be widened to a tuple")
+        names = elems.get(x.name) or free_elems.get(x.name)
+        if names is None:
+            names = free_elems[x.name] = fresh_tuple(x.name)
+        return names
+
+    def uni_at(names: tuple[str, ...]) -> Formula:
+        return _rename(i.uni, dict(zip(canon_vars(w), names)), gensym)
+
+    def walk(g: Formula, elems: dict, rels: dict) -> Formula:
+        t = type(g)
+        if t is Atom:
+            flat = tuple(n for x in g.args for n in tuple_of(x, elems))
+            if g.name in i.rels:
+                params = canon_vars(len(g.args) * w)
+                return _rename(i.rels[g.name], dict(zip(params, flat)), gensym)
+            widened = rels.get(g.name) or free_rels.get(g.name)
+            if widened is None:
+                widened = free_rels[g.name] = gensym.fresh(g.name)
+            return Atom(widened, tuple(Var(n) for n in flat))
+        if t is Eq:
+            lt, rt = tuple_of(g.left, elems), tuple_of(g.right, elems)
+            return conj(Eq(Var(a), Var(b)) for a, b in zip(lt, rt))
+        if t is Less:
+            if i.less is None:
+                raise UnsupportedTerm("'<' in the source formula but no order formula")
+            flat = tuple_of(g.left, elems) + tuple_of(g.right, elems)
+            return _rename(i.less, dict(zip(canon_vars(2 * w), flat)), gensym)
+        if t is Bit:
+            raise UnsupportedTerm("BIT does not translate through an interpretation")
+        if t is Not:
+            return Not(walk(g.body, elems, rels))
+        if t in (And, Or, Implies):
+            return t(walk(g.left, elems, rels), walk(g.right, elems, rels))
+        if t in (Exists, Forall):
+            names = fresh_tuple(g.var)
+            body = walk(g.body, {**elems, g.var: names}, rels)
+            guard = uni_at(names)
+            inner = And(guard, body) if t is Exists else Implies(guard, body)
+            for name in reversed(names):
+                inner = t(name, inner)
+            return inner
+        if t in (ExistsLog, ForallLog):
+            raise LogQuantifierUnsupported("log-quantifiers do not translate")
+        if t is Ifp:
+            flat_terms = tuple(Var(n) for x in g.terms for n in tuple_of(x, elems))
+            widened = gensym.fresh(g.relvar)
+            blocks = [fresh_tuple(y) for y in g.vars]
+            body = walk(g.body, {**elems, **dict(zip(g.vars, blocks))},
+                        {**rels, g.relvar: widened})
+            guards = conj(uni_at(block) for block in blocks)
+            flat_vars = tuple(n for block in blocks for n in block)
+            return Ifp(flat_vars, widened, And(guards, body), flat_terms)
+        raise TypeError(f"not a formula: {g!r}")
+
+    return walk(f, {}, {})

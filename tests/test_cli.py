@@ -326,14 +326,31 @@ def test_outputs_are_deterministic(files, capsys):
 
 
 @pytest.mark.parametrize("argv,code,head", [
-    # parsing has no nesting limit
+    # parsing, validating and printing have no nesting limit
     (["check", "--formula", "(" * 400 + "x=x" + ")" * 400], 0, "formula=x=x\n"),
-    # printing a deep "!" chain still recurses
-    (["check", "--formula", "!" * 2000 + "x=x"], 3, "error=resource limit: "),
+    (["check", "--formula", "!" * 2000 + "x=x"], 0, "formula="),
 ], ids=["parentheses", "negations"])
 def test_recursion_limit_exit_code(argv, code, head, capsys):
     got, out = run(["--format", "machine"] + argv, capsys)
     assert got == code and out.startswith(head)
+
+
+def test_check_quantifier_prefix(tmp_path, capsys):
+    prefix = tmp_path / "prefix.txt"
+    prefix.write_text("Ex. " * 1000 + "x=x")
+    code, out = run(["--format", "machine", "check", "--formula-file", str(prefix)], capsys)
+    assert code == 0 and out.startswith("formula=" + "Ex. " * 1000 + "x=x\n")
+
+
+def test_interp_transform_deep_conjunction(tmp_path, capsys):
+    code, doc = run(["build-jred", "--r", "1"], capsys)
+    assert code == 0
+    red, chain = tmp_path / "jred.json", tmp_path / "chain.txt"
+    red.write_text(doc)
+    chain.write_text("Ex. " + " & ".join(["P1(x)"] * 3000))
+    code, out = run(["--format", "machine", "interp-transform", "--interp", str(red),
+                     "--formula-file", str(chain)], capsys)
+    assert code == 0 and out.startswith("formula=Ex_0. Ex_1. ")
 
 
 def test_eval_deep_conjunction(tmp_path, capsys):
@@ -352,9 +369,17 @@ def test_eval_deep_conjunction(tmp_path, capsys):
     ["gc-run", "--string", "01", "--k", "1", "--c", "-1", "--formula", "Ex. P0(x)"],
     ["jdecode", "--n", "4", "--bits", "2"],
     ["jdecode", "--n", "8", "--bits", "110000", "--k", "-1"],
+    # BIG: a structure document with a tuple component past Python's int-string limit
+    ["encode", "--structure", "BIG"],
+    ["pebble", "--a", "BIG", "--b", "BIG", "--s", "1"],
+    ["check", "--formula", "x=x", "--sig", "BIG"],
+    ["interp-transform", "--formula", "x=x", "--interp", "BIG"],
 ])
-def test_bad_arguments_exit_code(argv, capsys):
-    code, out = run(argv, capsys)
+def test_bad_arguments_exit_code(argv, tmp_path, capsys):
+    big = tmp_path / "big.json"
+    big.write_text('{"signature": [["E", 2]], "n": 3, "relations": {"E": [[%s, 0]]}}'
+                   % ("1" * 5001))
+    code, out = run([str(big) if arg == "BIG" else arg for arg in argv], capsys)
     assert code == 2 and out.startswith("error: ")
 
 

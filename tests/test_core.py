@@ -26,6 +26,7 @@ from logifp.errors import (
     BadCharacter,
     EmptyString,
     OutOfRange,
+    ParseError,
     SignatureMismatch,
     ZeroArgument,
     ZeroDomain,
@@ -91,6 +92,18 @@ def test_structure_validation():
         Structure(DIGRAPH, 2, {"E": {(0, 2)}})
     with pytest.raises(SignatureMismatch):
         Structure(DIGRAPH, 2, {"F": set()})
+
+
+def test_messages_of_components_past_the_int_string_limit():
+    # str() of a 5,001-digit integer raises ValueError, so the message must not print it
+    with pytest.raises(OutOfRange, match="component 2 of E"):
+        Structure(DIGRAPH, 2, {"E": {(0, 2)}})
+    with pytest.raises(OutOfRange, match="too long to print"):
+        Structure(DIGRAPH, 2, {"E": {(0, 10 ** 5000)}})
+    with pytest.raises(OutOfRange):
+        Structure(DIGRAPH, 10 ** 5000, {"E": {(0, -1)}})
+    with pytest.raises(ArityMismatch, match="too long to print"):
+        Structure(DIGRAPH, 2, {"E": {(10 ** 5000,)}})
 
 
 def test_structure_equality_and_defaults():
@@ -160,6 +173,9 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "a.json"
     save_structure(a, str(path))
     assert load_structure(str(path)) == a
+    path.write_text('{"signature": [["E", 2]], "n": %s}' % ("1" * 5001))
+    with pytest.raises(ParseError, match="malformed structure document: ValueError"):
+        load_structure(str(path))
 
 
 def test_str_sig_shape():

@@ -372,6 +372,48 @@ def test_walk_yields_binding_context_in_pre_order():
     assert terms(parse_formula("BIT(y,0)")) == (Var("y"), Lit(0))
 
 
+def test_fold_traversals_agree_with_recursive_oracle():
+    rng = random.Random(16)
+    for _ in range(3000):
+        f = _random_formula(rng, rng.randint(1, 6))
+        assert pretty(f) == formula_oracle.pretty(f)
+        assert walk(f) == list(formula_oracle.walk(f))
+    junk = And(Eq(Var("x"), Var("x")), "x=x")
+    for fn in (pretty, formula_oracle.pretty, walk, lambda f: list(formula_oracle.walk(f))):
+        assert _outcome(fn, junk) is TypeError
+
+
+def deep_formula(shape: str):
+    """2,000 nested "!" before x=x, 1,000 "Ex." before x=x, or "Ex." over
+    a 3,000-member chain of P1(x)."""
+    x = Var("x")
+    if shape == "chain":
+        return Exists("x", conj([Atom("P1", (x,))] * 3000))
+    node, depth = (Not, 2000) if shape == "negations" else (lambda g: Exists("x", g), 1000)
+    f = Eq(x, x)
+    for _ in range(depth):
+        f = node(f)
+    return f
+
+
+@pytest.mark.parametrize("shape,text", [
+    ("negations", "!(" * 1999 + "!x=x" + ")" * 1999),
+    ("prefix", "Ex. " * 1000 + "x=x"),
+    ("chain", "Ex. " + "(" * 2999 + "P1(x)" + " & P1(x))" * 2999),
+], ids=["negations", "prefix", "chain"])
+def test_deep_formulas_print_and_walk(shape, text):
+    f = deep_formula(shape)
+    assert pretty(f) == text
+    # the dataclass == recurses, so compare printed text and node types at this depth
+    assert pretty(parse_formula(text)) == text
+    free = frozenset({"x"}) if shape == "negations" else frozenset()
+    items = walk(f)
+    g, bound, rels, nlog = items[-1]
+    assert (type(g), bound | free, rels, nlog) == (Atom if shape == "chain" else Eq, {"x"}, {}, 0)
+    assert len(items) == {"negations": 1, "prefix": 1001, "chain": 3001}[shape]
+    assert validate(f, STR_SIG) == (free, {})
+
+
 def test_deep_formula_does_not_hit_recursion_limit():
     x = Var("x")
     f = Exists("x", conj([Eq(x, x)] * 3000))

@@ -4,12 +4,14 @@ relation-encoding reduction."""
 import importlib
 import json
 import random
+import re
 from pathlib import Path
 
 import eval_oracle
+import formula_oracle
 import pytest
 from eval_oracle import agrees, outcome
-from test_formula import _random_formula
+from test_formula import _random_formula, deep_formula
 
 from logifp.core import STR_SIG, Signature, Structure, ceil_log, from_text, render
 from logifp.encode import j_encode
@@ -264,6 +266,60 @@ def test_transform_formula_golden_output():
     assert len(cases) == 6
     for name, text, expected in cases:
         assert pretty(transform_formula(parse_formula(text), interps[name])) == expected
+
+
+def _retarget(rng, f, target: Signature):
+    """`f` with each binary atom E(a,b) kept as a free relation variable or
+    replaced, at random, by an atom of `target` over a and b."""
+    def atom(m):
+        if rng.random() < 0.3:
+            return m.group()
+        name, arity = rng.choice(target.relations)
+        return f"{name}({','.join(rng.choice(m.groups()) for _ in range(arity))})"
+
+    return parse_formula(re.sub(r"\bE\((\w+),(\w+)\)", atom, pretty(f)))
+
+
+def test_transform_formula_agrees_with_recursive_oracle():
+    """The fold-based translation against the recursive one, through both
+    J-reductions and the pairing interpretation: the same formula, with
+    the same fresh names, or the same exception class."""
+    interps = [build_J_reduction(1), build_J_reduction(2), pairing_interpretation()]
+    rng = random.Random(17)
+    translated = 0
+    for _ in range(600):
+        f = _random_formula(rng, rng.randint(1, 4))
+        for i in interps:
+            g = _retarget(rng, f, i.target)
+            got = outcome(transform_formula, g, i)
+            assert got == outcome(formula_oracle.transform_formula, g, i), pretty(g)
+            translated += not isinstance(got, type)
+    assert translated > 300
+
+
+def test_rename_agrees_with_recursive_oracle():
+    rng = random.Random(18)
+    for _ in range(600):
+        f = _random_formula(rng, rng.randint(1, 5))
+        varmap = {v: rng.choice(("x1", "x2", "v0")) for v in rng.sample("xyzuv", 3)}
+        assert _rename(f, varmap, _Gensym(("v1",))) == \
+            formula_oracle._rename(f, varmap, _Gensym(("v1",)))
+    # a fixed point's terms lie outside its binder
+    f = parse_formula("ifp[Y(u) <- Y(u) | u=x](u)")
+    g = _rename(f, {"u": "x1", "x": "x2"}, _Gensym(()))
+    assert pretty(g) == "ifp[Y(v0) <- (Y(v0) | v0=x2)](x1)"
+
+
+@pytest.mark.parametrize("shape", ["negations", "prefix", "chain"])
+def test_deep_formulas_translate(shape):
+    red = build_J_reduction(1)
+    g = transform_formula(deep_formula(shape), red)
+    free = validate(g, red.source)
+    assert free == ((frozenset(f"x_{j}" for j in range(red.width)), {}) if shape == "negations"
+                    else (frozenset(), {}))
+    text = pretty(g)
+    assert text.startswith("!(" * 1999 if shape == "negations" else "Ex_0. Ex_1. ")
+    assert text.count("P1(") == (3000 if shape == "chain" else 0)
 
 
 def test_j_reduction_on_one_letter_string():
