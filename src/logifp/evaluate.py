@@ -2,6 +2,12 @@
 second-order quantifiers by a search over the tuples their body reads, and
 the guess-then-check runner.
 
+`prepare` turns each formula node, once per node object, into a closure
+`(structure, assignment, memo) -> bool` with its subformulas' closures,
+its flattened `&`/`|` members and its term getters bound in; `!!g` is g's
+closure.  No structure is bound in, so one prepared formula evaluates on
+any structure, and every check of the structure stays where it was made.
+
 An assignment is a plain dict mapping element-variable names to domain
 indices and relation-variable names to relations (frozensets of tuples,
 or a `_Partial` during the search); the two kinds never collide because
@@ -23,16 +29,19 @@ splits the rest of the search.  Where that meets an `OutOfRange`,
 enumerated in `enumerate_bounded_relations` order instead.
 
 Each top-level call also creates one memo dict, passed down explicitly,
-that holds the fixed points computed so far, keyed by the Ifp node and
-the values of the names its body reads from the assignment, so the memo
-lives as long as that call.  A fixed point keyed on a node of the search
-lives in that node's `_Memo` and dies with it.
+that holds the fixed points computed so far, keyed by a key object of
+the prepared Ifp node (hashed by identity, not by the formula's value)
+and the values of the names its body reads from the assignment, so the
+memo lives as long as that call.  A fixed point keyed on a node of the
+search lives in that node's `_Memo` and dies with it.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+import operator
+from types import FunctionType
 from typing import Callable, Iterator, Optional
 
 from .core import StringStructure, Structure, ceil_log, from_text, log_pow
@@ -61,7 +70,7 @@ from .formula import (
     Not,
     Or,
     Var,
-    _ATOMIC,
+    fold,
     metrics,
     terms,
     walk,
@@ -96,28 +105,13 @@ _MISSING = object()
 _LAZY_ERRORS = (OrderUsedUnordered, OutOfRange, UnboundVariable)
 
 
-def _term_value(a: Structure, t, env: dict) -> int:
-    if type(t) is Var:
-        v = env.get(t.name, _MISSING)
-        if v is _MISSING:
-            raise UnboundVariable(t.name)
-        return v
-    if type(t) is Lit:
-        if not a.sig.ordered:
-            raise OrderUsedUnordered(f"literal {t.value} needs the built-in order")
-        if t.value >= a.n:
-            raise OutOfRange(f"literal {t.value} not in [0,{a.n})")
-        return t.value
-    if type(t) is LogN:
-        if not a.sig.ordered:
-            raise OrderUsedUnordered("logn needs the built-in order")
-        return ceil_log(a.n)  # < n for every n >= 1
-    raise TypeError(f"not a term: {t!r}")
-
-
 def evaluate(a: Structure, f: Formula, env: Optional[dict] = None) -> bool:
     """Truth of `f` in `a` under the given assignment."""
-    return _ev(a, f, env or {}, {})
+    return prepare(f)(a, env or {}, {})
+
+
+def _ev(a: Structure, f: Formula, env: dict, memo: dict) -> bool:
+    return prepare(f)(a, env, memo)
 
 
 def _relation(a: Structure, name: str, env: dict):
@@ -129,84 +123,182 @@ def _relation(a: Structure, name: str, env: dict):
     return rel
 
 
-def _chain(f: Formula, t: type):
-    """The members of the maximal chain of `t` nodes at f, left to right."""
-    if type(f.left) is not t and type(f.right) is not t:
-        return (f.left, f.right)
-    out, todo = [], [f]
-    while todo:
-        g = todo.pop()
-        if type(g) is t:
-            todo += (g.right, g.left)
-        else:
-            out.append(g)
-    return out
+def prepare(f: Formula) -> Callable[[Structure, dict, dict], bool]:
+    """The closure `(a, env, memo) -> bool` of `f`.  It is built bottom-up by
+    `fold` on first use and kept on each node, outside its dataclass fields,
+    as `_ev`, beside `_parts` (a maximal `&`/`|` chain's members or an atomic
+    formula's term getters) and `_elems` (the element variables it reads
+    free).  None of them refers back to the node, so a dropped formula is
+    freed without the cycle collector."""
+    ev = getattr(f, "_ev", None)
+    return ev if ev is not None else fold(f, None, _PREPARE)[0]._ev
 
 
-def _ev(a: Structure, f: Formula, env: dict, memo: dict) -> bool:
-    t = type(f)
-    if t is Atom:
-        args = tuple(_term_value(a, x, env) for x in f.args)
-        return args in _relation(a, f.name, env)
+_SUBFORMULAS = {Not: ("body",), Implies: ("left", "right"),
+                **dict.fromkeys((Exists, Forall, ExistsLog, ForallLog, Ifp), ("body",))}
+
+
+def _descend(g, c, done, push):
+    if "_ev" in g.__dict__:  # prepared before, or met earlier in this formula
+        done.append(g)
+        return
+    t = type(g)
+    kids = [getattr(g, name) for name in _SUBFORMULAS.get(t, ())]
+    if t is And or t is Or:  # the members of the maximal chain, left to right
+        todo = [g]
+        while todo:
+            h = todo.pop()
+            if type(h) is t:
+                todo += (h.right, h.left)
+            else:
+                kids.append(h)
+    push([(_finish, (g, len(kids))), *[(h, c) for h in reversed(kids)]])
+
+
+def _finish(data, done, push):
+    g, count = data
+    t, kids = type(g), done[len(done) - count:]  # the prepared subformulas
+    del done[len(done) - count:]
+    get = [_getter(x) for x in terms(g)]
+    bound = (g.var,) if t is Exists or t is Forall else getattr(g, "vars", ())
+    g.__dict__.update(
+        _parts=kids if t is And or t is Or else get,
+        _elems=frozenset().union(*[k._elems for k in kids]).difference(bound).union(
+            [x.name for x in terms(g) if type(x) is Var]),
+        _ev=_BUILD[t](g, kids, get))
+    done.append(g)
+
+
+_PREPARE = {FunctionType: FunctionType.__call__, **dict.fromkeys(Formula.__args__, _descend)}
+
+
+def _getter(t) -> Callable[[Structure, dict], int]:
+    """The value of the term `t` under a structure and an assignment."""
+    if type(t) is Var:
+        name = t.name
+
+        def var(a, env):
+            try:
+                return env[name]
+            except KeyError:
+                raise UnboundVariable(name) from None
+        return var
+    if type(t) is not Lit and type(t) is not LogN:
+        raise TypeError(f"not a term: {t!r}")
+    what = f"literal {t}" if type(t) is Lit else "logn"
+
+    def constant(a, env):
+        if not a.sig.ordered:
+            raise OrderUsedUnordered(f"{what} needs the built-in order")
+        value = t.value if type(t) is Lit else ceil_log(a.n)  # ceil_log(n) < n for n >= 1
+        if value >= a.n:
+            raise OutOfRange(f"literal {t} not in [0,{a.n})")
+        return value
+    return constant
+
+
+def _atom(g, kids, get):
+    name = g.name
+    return lambda a, env, memo: tuple([value(a, env) for value in get]) in _relation(a, name, env)
+
+
+def _compare(g, kids, get):
+    (left, right), t = get, type(g)
     if t is Eq:
-        return _term_value(a, f.left, env) == _term_value(a, f.right, env)
-    if t is Less:
+        return lambda a, env, memo: left(a, env) == right(a, env)
+    test, what = (operator.lt, "'<'") if t is Less else (lambda y, x: (y >> x) & 1 == 1, "BIT")
+
+    def ev(a, env, memo):
         if not a.sig.ordered:
-            raise OrderUsedUnordered("'<' on an unordered structure")
-        return _term_value(a, f.left, env) < _term_value(a, f.right, env)
-    if t is Bit:
-        if not a.sig.ordered:
-            raise OrderUsedUnordered("BIT on an unordered structure")
-        y = _term_value(a, f.value, env)
-        x = _term_value(a, f.index, env)
-        return (y >> x) & 1 == 1
-    if t is Not:
-        return not _ev(a, f.body, env, memo)
-    if t is And or t is Or:
-        decided = t is Or
-        for g in _chain(f, t):
-            if _ev(a, g, env, memo) == decided:
+            raise OrderUsedUnordered(f"{what} on an unordered structure")
+        return test(left(a, env), right(a, env))
+    return ev
+
+
+def _not(g, kids, get):
+    if type(g.body) is Not:  # !!h is h: `!` has no short-circuit to keep
+        return g.body.body._ev
+    body = kids[0]._ev
+    return lambda a, env, memo: not body(a, env, memo)
+
+
+def _and_or(g, kids, get):
+    evs, decided = [k._ev for k in kids], type(g) is Or
+
+    def ev(a, env, memo):
+        for member in evs:
+            if member(a, env, memo) == decided:
                 return decided
         return not decided
-    if t is Implies:
-        return (not _ev(a, f.left, env, memo)) or _ev(a, f.right, env, memo)
-    if t is Exists:
-        env = _without(env, f.var)
+    return ev
+
+
+def _implies(g, kids, get):
+    left, right = kids[0]._ev, kids[1]._ev
+    return lambda a, env, memo: (not left(a, env, memo)) or right(a, env, memo)
+
+
+def _quantifier(g, kids, get):
+    var, body, run = g.var, g.body, kids[0]._ev
+    if type(g) is Forall:
+        return lambda a, env, memo: not _some(a, run, env, var, range(a.n), False, memo)
+
+    def ev(a, env, memo):
+        env = _without(env, var)
         try:
-            return next(_solve(a, f.body, env, (f.var,), memo), None) is not None
+            return next(_solve(a, body, env, (var,), memo), None) is not None
         except _LAZY_ERRORS:
-            return _some(a, f.body, env, f.var, range(a.n), True, memo)
-    if t is Forall:
-        return not _some(a, f.body, env, f.var, range(a.n), False, memo)
-    if t is ExistsLog or t is ForallLog:
-        want = t is ExistsLog
+            return _some(a, run, env, var, range(a.n), True, memo)
+    return ev
+
+
+def _log(g, kids, get):
+    k, relvar, arity, body, run = g.k, g.relvar, g.arity, g.body, kids[0]._ev
+    want = type(g) is ExistsLog
+
+    def ev(a, env, memo):
         try:
-            return _search(a, f, env, want, memo) == want
+            return _search(a, body, relvar, arity, log_pow(a.n, k), env, want, memo) == want
         except _LAZY_ERRORS:
-            rels = enumerate_bounded_relations(a.n, f.arity, log_pow(a.n, f.k))
-            return _some(a, f.body, env, f.relvar, rels, want, memo) == want
-    if t is Ifp:
-        reads = memo.get(f)
+            rels = enumerate_bounded_relations(a.n, arity, log_pow(a.n, k))
+            return _some(a, run, env, relvar, rels, want, memo) == want
+    return ev
+
+
+def _ifp(g, kids, get):
+    body, vars, relvar, key = g.body, g.vars, g.relvar, object()  # a memo key by identity
+    elems = tuple(body._elems.difference(vars))
+    rels = {h.name for h, _, bound, _ in walk(body) if type(h) is Atom and h.name not in bound}
+    rels.discard(relvar)
+
+    def ev(a, env, memo):
+        reads = memo.get(key)
         if reads is None:
             # the names the body reads from the assignment, other than its own
-            reads = memo[f] = tuple(_reads(a, f.body).difference(f.vars, (f.relvar,)))
-        key = (f, *[env.get(name, _MISSING) for name in reads])
-        fixed = memo.get(key)
+            reads = memo[key] = elems + tuple(name for name in rels if name not in a.rels)
+        at = (key, *[env.get(name, _MISSING) for name in reads])
+        fixed = memo.get(at)
         if fixed is None:
-            fixed = memo[key] = ifp_fixpoint(a, f.body, f.vars, f.relvar, env, memo)
-        point = tuple(_term_value(a, x, env) for x in f.terms)
-        return point in fixed
-    raise TypeError(f"not a formula: {f!r}")
+            fixed = memo[at] = ifp_fixpoint(a, body, vars, relvar, env, memo)
+        return tuple([value(a, env) for value in get]) in fixed
+    return ev
 
 
-def _some(a: Structure, body: Formula, env: dict, name: str, values, want: bool,
+# The closure of node g from g, its prepared subformulas and its terms'
+# getters; none of them refers to g itself.
+_BUILD = {Atom: _atom, Eq: _compare, Less: _compare, Bit: _compare, Not: _not, And: _and_or,
+          Or: _and_or, Implies: _implies, Exists: _quantifier, Forall: _quantifier,
+          ExistsLog: _log, ForallLog: _log, Ifp: _ifp}
+
+
+def _some(a: Structure, body: Callable, env: dict, name: str, values, want: bool,
           memo: dict) -> bool:
-    """Whether `body` evaluates to `want` with `name` bound to some of
-    `values`, tried in order."""
+    """Whether the prepared `body` evaluates to `want` with `name` bound to
+    some of `values`, tried in order."""
     env = dict(env)
     for value in values:
         env[name] = value
-        if _ev(a, body, env, memo) == want:
+        if body(a, env, memo) == want:
             return True
     return False
 
@@ -281,9 +373,10 @@ class _Memo(dict):
             self.outer[key] = value
 
 
-def _search(a: Structure, f: Formula, env: dict, want: bool, memo: dict) -> bool:
-    """Whether the body of the log quantifier `f` evaluates to `want` under
-    some relation of at most log_pow(n, k) tuples.
+def _search(a: Structure, body: Formula, relvar: str, arity: int, bound: int, env: dict,
+            want: bool, memo: dict) -> bool:
+    """Whether `body` evaluates to `want` with `relvar` bound to some
+    relation of `arity` and at most `bound` tuples.
 
     Each node evaluates the body once.  Evaluation is deterministic given
     the answers, so the value holds for every relation that agrees with
@@ -292,12 +385,11 @@ def _search(a: Structure, f: Formula, env: dict, want: bool, memo: dict) -> bool
     are visited fewest members first, children in read order, and a level
     is built only when it is reached.
     """
-    bound = log_pow(a.n, f.k)
-    level = [_Partial(frozenset(), None, 0, a.n, f.arity)]
+    level = [_Partial(frozenset(), None, 0, a.n, arity)]
     while True:
         parents = []
         for node in level:
-            if _ev(a, f.body, {**env, f.relvar: node}, _Memo(memo, node)) == want:
+            if _ev(a, body, {**env, relvar: node}, _Memo(memo, node)) == want:
                 return True
             if len(node.members) < bound:
                 parents.append(node)
@@ -319,11 +411,12 @@ def _solve(a: Structure, f: Formula, env: dict, want: tuple, memo: dict) -> Iter
     bound.  A name `f` does not constrain may stay unbound: `f` then holds
     for every value of it.
     """
+    ev = prepare(f)
     for name in want:
         if name not in env:
             break
     else:  # nothing left to bind: a test
-        return iter((env,) if _ev(a, f, env, memo) else ())
+        return iter((env,) if ev(a, env, memo) else ())
     t = type(f)
     if t is Atom:
         slot, fixed, repeated = {}, [], []
@@ -338,43 +431,42 @@ def _solve(a: Structure, f: Formula, env: dict, want: tuple, memo: dict) -> Iter
                 slot[x.name] = i
         else:
             if slot:
-                return _scan(a, f, env, slot, fixed, repeated)
+                return _scan(a, f, f._parts, env, slot, fixed, repeated)
     elif t is Eq:
-        for var, other in ((f.left, f.right), (f.right, f.left)):
+        left, right = f._parts
+        for var, other, value in ((f.left, f.right, right), (f.right, f.left, left)):
             if (type(var) is Var and var.name in want and var.name not in env
                     and not (type(other) is Var and other.name not in env)):
-                return iter(({**env, var.name: _term_value(a, other, env)},))
+                return iter(({**env, var.name: value(a, env)},))
     elif t is And:
-        return _join(a, _chain(f, And), env, want, memo)
+        return _join(a, f._parts, env, want, memo)
     elif t is Or:
-        return itertools.chain.from_iterable(_solve(a, g, env, want, memo)
-                                             for g in _chain(f, Or))
+        return itertools.chain.from_iterable(_solve(a, g, env, want, memo) for g in f._parts)
     elif t is Exists:
         return _solve_exists(a, f, env, want, memo)
-    reads = {x.name for x in terms(f) if type(x) is Var} if t in _ATOMIC else _reads(a, f)
-    return _tested(a, f, env, [name for name in want if name not in env and name in reads],
+    return _tested(a, ev, env, [name for name in want if name not in env and name in f._elems],
                    memo)
 
 
-def _tested(a: Structure, f: Formula, env: dict, names: list, memo: dict,
+def _tested(a: Structure, ev: Callable, env: dict, names: list, memo: dict,
             known=()) -> Iterator[dict]:
     """The extensions of `env` that bind `names` to a combination of domain
-    elements, the last name fastest, under which `f` holds, skipping the
-    combinations in `known`."""
+    elements, the last name fastest, under which the prepared `ev` holds,
+    skipping the combinations in `known`."""
     ext = dict(env)
     for row in itertools.product(range(a.n), repeat=len(names)):
         ext.update(zip(names, row))
-        if row not in known and _ev(a, f, ext, memo):
+        if row not in known and ev(a, ext, memo):
             yield dict(ext)
 
 
-def _scan(a: Structure, f: Atom, env: dict, slot: dict, fixed: list,
+def _scan(a: Structure, f: Atom, get: list, env: dict, slot: dict, fixed: list,
           repeated: list) -> Iterator[dict]:
     """Extend `env` by each name of `slot` bound to its argument position
     in every tuple of the relation of `f` that agrees with the values of
-    the `fixed` arguments and repeats the first position of a name at the
-    `repeated` ones."""
-    values = [(i, _term_value(a, f.args[i], env)) for i in fixed]
+    the `fixed` arguments, read by their getters `get`, and repeats the
+    first position of a name at the `repeated` ones."""
+    values = [(i, get[i](a, env)) for i in fixed]
     checked = values or repeated
     slot = list(slot.items())
     for row in _relation(a, f.name, env):
@@ -424,20 +516,9 @@ def satisfying(a: Structure, f: Formula, names: tuple, env: Optional[dict] = Non
                 found.add(tuple(full[name] for name in names))
     except _LAZY_ERRORS:
         found = set(known)
-        for ext in _tested(a, f, env, list(names), memo, known):
+        for ext in _tested(a, prepare(f), env, list(names), memo, known):
             found.add(tuple(ext[name] for name in names))
     return frozenset(found)
-
-
-def _reads(a: Structure, f: Formula) -> set:
-    """The names `f` reads from the assignment: its free element variables
-    and its free relation variables other than the relations of `a`."""
-    reads = set()
-    for g, bound, rels, _ in walk(f):
-        reads.update(x.name for x in terms(g) if type(x) is Var and x.name not in bound)
-        if type(g) is Atom and g.name not in rels and g.name not in a.rels:
-            reads.add(g.name)
-    return reads
 
 
 def ifp_fixpoint(a: Structure, body: Formula, vars: tuple, relvar: str,
@@ -504,7 +585,7 @@ def evaluate_via_bitstrings(u: StringStructure, f: Formula) -> bool:
 
     def assign(rest: list, env: dict) -> bool:
         if not rest:
-            return _ev(u, matrix, env, memo)
+            return run(u, env, memo)
         relvar, _, k = rest[0]
         max_chunks = log_pow(n, k)
         for count in range(max_chunks + 1):
@@ -515,7 +596,7 @@ def evaluate_via_bitstrings(u: StringStructure, f: Formula) -> bool:
                         return True
         return False
 
-    memo: dict = {}
+    run, memo = prepare(matrix), {}
     return assign(prefix, {})
 
 

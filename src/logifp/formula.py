@@ -69,8 +69,17 @@ Term = Var | Lit | LogN
 # --- formulas ---
 
 
+class _Node:
+    """Base of the formula nodes.  A node may carry data derived from it
+    outside its dataclass fields, such as the evaluator's prepared closure:
+    `==`, `hash` and `repr` never see it, and pickling and copying drop it."""
+
+    def __getstate__(self):
+        return {name: self.__dict__[name] for name in self.__dataclass_fields__}
+
+
 @dataclass(frozen=True)
-class Atom:
+class Atom(_Node):
     """Relation atom; `name` is either a signature relation or a relation
     variable, resolved by context."""
 
@@ -79,19 +88,19 @@ class Atom:
 
 
 @dataclass(frozen=True)
-class Eq:
+class Eq(_Node):
     left: Term
     right: Term
 
 
 @dataclass(frozen=True)
-class Less:
+class Less(_Node):
     left: Term
     right: Term
 
 
 @dataclass(frozen=True)
-class Bit:
+class Bit(_Node):
     """BIT(y, x): bit x of the binary expansion of element y is 1."""
 
     value: Term
@@ -99,42 +108,42 @@ class Bit:
 
 
 @dataclass(frozen=True)
-class Not:
+class Not(_Node):
     body: "Formula"
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Node):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Node):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class Implies:
+class Implies(_Node):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class Exists:
+class Exists(_Node):
     var: str
     body: "Formula"
 
 
 @dataclass(frozen=True)
-class Forall:
+class Forall(_Node):
     var: str
     body: "Formula"
 
 
 @dataclass(frozen=True)
-class Ifp:
+class Ifp(_Node):
     """[IFP_{vars relvar} body](terms), |vars| == |terms| == arity(relvar)."""
 
     vars: tuple
@@ -144,7 +153,7 @@ class Ifp:
 
 
 @dataclass(frozen=True)
-class ExistsLog:
+class ExistsLog(_Node):
     """Second-order exists over relations of size <= ceil_log(n)**k."""
 
     k: int
@@ -154,7 +163,7 @@ class ExistsLog:
 
 
 @dataclass(frozen=True)
-class ForallLog:
+class ForallLog(_Node):
     k: int
     relvar: str
     arity: int

@@ -86,6 +86,13 @@ class Interpretation:
             raise NotLinearOrder("ordered target needs an order formula")
         if self.less is not None:
             self._check(self.less, 2 * self.width, "<")
+        # the names of the member formulas, which fresh names avoid; not a
+        # field, so == and the JSON round trip do not see it
+        names = set()
+        for g in (self.uni, *self.rels.values(), self.less):
+            if g is not None:
+                _collect_names(g, names)
+        object.__setattr__(self, "_names", frozenset(names))
 
     def _check(self, f: Formula, nvars: int, label: str):
         free_elem, free_rel = validate(f, self.source)
@@ -195,10 +202,8 @@ def transform_formula(f: Formula, i: Interpretation) -> Formula:
     from arity l to arity l*width.  Fresh names are drawn in pre-order, but
     the universe guards of a binder after its body."""
     w = i.width
-    gensym = _Gensym(())
-    for g in (f, i.uni, *i.rels.values(), i.less):
-        if g is not None:
-            _collect_names(g, gensym.used)
+    gensym = _Gensym(i._names)
+    _collect_names(f, gensym.used)
 
     # first uses of free names; the context holds the bound ones:
     # ({element variable: tuple of names}, {relation variable: widened name})

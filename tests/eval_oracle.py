@@ -16,7 +16,7 @@
 
 import itertools
 
-from logifp.core import Structure
+from logifp.core import Structure, ceil_log, log_pow
 from logifp.encode import j_encode
 from logifp.errors import (
     EmptyUniverse,
@@ -26,7 +26,7 @@ from logifp.errors import (
     OutOfRange,
     UnboundVariable,
 )
-from logifp.evaluate import _term_value, enumerate_bounded_relations, log_pow
+from logifp.evaluate import enumerate_bounded_relations
 from logifp.formula import (
     And,
     Atom,
@@ -39,6 +39,8 @@ from logifp.formula import (
     Ifp,
     Implies,
     Less,
+    Lit,
+    LogN,
     Not,
     Or,
     Var,
@@ -74,6 +76,25 @@ def j_fiber(n: int, z: str, chunk_width: int):
 
 _MISSING = object()
 _MEMO = object()
+
+
+def _term_value(a, t, env: dict) -> int:
+    if type(t) is Var:
+        v = env.get(t.name, _MISSING)
+        if v is _MISSING:
+            raise UnboundVariable(t.name)
+        return v
+    if type(t) is Lit:
+        if not a.sig.ordered:
+            raise OrderUsedUnordered(f"literal {t.value} needs the built-in order")
+        if t.value >= a.n:
+            raise OutOfRange(f"literal {t.value} not in [0,{a.n})")
+        return t.value
+    if type(t) is LogN:
+        if not a.sig.ordered:
+            raise OrderUsedUnordered("logn needs the built-in order")
+        return ceil_log(a.n)
+    raise TypeError(f"not a term: {t!r}")
 
 
 def evaluate(a, f, env=None) -> bool:

@@ -335,6 +335,16 @@ def test_recursion_limit_exit_code(argv, code, head, capsys):
     assert got == code and out.startswith(head)
 
 
+@pytest.mark.parametrize("count,result", [(2000, "true"), (2001, "false")])
+def test_eval_nested_negations(tmp_path, count, result, capsys):
+    # `!!g` evaluates as g, so no nesting of `!` reaches the recursion limit
+    negations = tmp_path / "negations.txt"
+    negations.write_text("Ex. " + "!" * count + "x=x")
+    code, out = run(["--format", "machine", "eval", "--string", "01",
+                     "--formula-file", str(negations)], capsys)
+    assert code == 0 and out == f"result={result}\n"
+
+
 def test_check_quantifier_prefix(tmp_path, capsys):
     prefix = tmp_path / "prefix.txt"
     prefix.write_text("Ex. " * 1000 + "x=x")

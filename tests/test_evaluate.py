@@ -4,6 +4,7 @@ string-based evaluation paths."""
 import importlib
 import itertools
 import math
+import pickle
 import random
 from types import MappingProxyType
 
@@ -160,6 +161,82 @@ def test_deep_chains_do_not_hit_recursion_limit():
     assert evaluate(u, conj([Eq(x, x)] * 3000), {"x": 0})
     assert not evaluate(u, disj([Less(x, x)] * 3000), {"x": 0})
     assert ifp_fixpoint(u, conj([Eq(x, x)] * 3000), ("x",), "Y") == {(0,), (1,)}
+
+
+def test_deep_negations_do_not_hit_recursion_limit():
+    u = from_text("01")
+    for count in (2000, 2001, 5001):
+        f = parse_formula("Ex. " + "!" * count + "x=x")
+        assert evaluate(u, f) is (count % 2 == 0)
+        assert satisfying(u, f.body, ("x",)) == ({(0,), (1,)} if count % 2 == 0 else set())
+        # the fixed-point memo does not hash the node, whose hash would recurse
+        f = parse_formula("Ex. ifp[Y(u) <- " + "!" * count + "u=u](x)")
+        assert evaluate(u, f) is (count % 2 == 0)
+
+
+_ORDER, _RANGE = OrderUsedUnordered, OutOfRange
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("Ex.(E(x,2) | x<1)", [True, _ORDER, _RANGE, True]),
+    ("Ex.Ez.(x<z & E(x,z))", [True, _ORDER, False, True]),
+    ("ifp[Y(u) <- u=2 | Ev.(Y(v) & E(v,u))](y)", [True, _ORDER, _RANGE, False]),
+    ("E2log[1] X:1 . Ex.(X(x) & (E(x,x) | x=2))", [True, _ORDER, _RANGE, True]),
+    ("Ax.((E(x,x) & x<2) -> ifp[Y(u) <- E(u,u) | Ev.(Y(v) & v<u)](x))",
+     [True, _ORDER, _RANGE, True]),
+    # E is the structure's relation in a digraph and the quantified one in a string
+    ("E2log[1] E:2 . Ex.(x<2 & ifp[Y(u) <- E(u,u) | Ev.(Y(v) & E(v,u))](x))",
+     [True, _ORDER, _RANGE, True]),
+])
+def test_one_formula_object_on_several_structures(text, expected):
+    """One formula object, prepared on first use, evaluated on an ordered
+    digraph, an unordered one, a smaller ordered one where the literal 2 is
+    out of range, a string that reads E from the assignment and the first
+    digraph again, agrees with the oracle each time in its answer or error
+    class: no check of a structure, and no set of names a fixed point reads
+    from the assignment, is bound into the prepared formula."""
+    f = parse_formula(text)
+    first = digraph(4, {(0, 2), (2, 1), (1, 1)}, ordered=True)
+    runs = [(first, {}), (digraph(4, {(0, 2), (2, 1), (1, 1)}), {}),
+            (digraph(2, {(1, 1)}, ordered=True), {}),
+            (from_text("0110"), {"E": frozenset({(3, 3), (1, 2)})}), (first, {})]
+    seen = []
+    for a, env in runs:
+        env = {"y": 1, **env}
+        got = outcome(evaluate, a, f, env)
+        assert got == outcome(eval_oracle.evaluate, a, f, env), (a, got)
+        seen.append(got)
+    assert seen == expected + expected[:1]
+
+
+def test_prepared_formulas_evaluate_alike_twice():
+    """A random formula evaluated twice, and a pickled copy that is
+    prepared afresh, give one outcome."""
+    rng = random.Random(41)
+    for _ in range(1000):
+        f = _random_formula(rng, rng.randint(1, 5))
+        logs = any(type(g) in (ExistsLog, ForallLog) for g, _, _, _ in walk(f))
+        n = rng.randint(1, 2 if logs else 4)
+        u = from_text("".join(rng.choice("01") for _ in range(n)))
+        env = {v: rng.randrange(n) for v in "xyz" if rng.random() < 0.5}
+        env["E"] = frozenset((rng.randrange(n), rng.randrange(n)) for _ in range(2))
+        first = outcome(evaluate, u, f, env)
+        assert outcome(evaluate, u, f, env) == first, pretty(f)
+        assert outcome(evaluate, u, pickle.loads(pickle.dumps(f)), env) == first, pretty(f)
+
+
+def test_preparing_leaves_the_formula_as_it_was():
+    """Evaluation keeps its prepared closures outside the dataclass fields:
+    ==, hash, repr, pretty and pickling see the formula as before."""
+    rng = random.Random(42)
+    u = from_text("0110")
+    for _ in range(300):
+        f = _random_formula(rng, rng.randint(1, 5))
+        twin = pickle.loads(pickle.dumps(f))
+        outcome(evaluate, u, f, {"x": 0, "y": 1, "z": 2, "E": frozenset({(0, 1)})})
+        assert f == twin and hash(f) == hash(twin)
+        assert repr(f) == repr(twin) and pretty(f) == pretty(twin)
+        assert pickle.dumps(f) == pickle.dumps(twin) and pickle.loads(pickle.dumps(f)) == f
 
 
 @pytest.mark.parametrize("strings", [True, False])
@@ -420,25 +497,25 @@ def test_log_search_evaluates_the_body_at_most_as_often_as_enumeration(
 
 def test_ifp_memo_under_the_log_search(monkeypatch):
     """A fixed point that does not read the quantified relation is computed
-    once for the whole search, one that reads it at most once per node,
-    and no memo entry keyed on a node's relation outlives the node."""
+    once for the whole search, although the body is evaluated under several
+    relations, and it is the one fixed point the memo of the enclosing
+    evaluation keeps; one that reads the relation is computed at most once
+    per node of the search and leaves no fixed point in that memo."""
     ev = importlib.import_module("logifp.evaluate")
-    relations, bodies = [], []
-    original, original_ev = ev.ifp_fixpoint, ev._ev
+    relations, asked = [], []
+    original, contains = ev.ifp_fixpoint, ev._Partial.__contains__
     monkeypatch.setattr(ev, "ifp_fixpoint",
                         lambda *args: relations.append(args[4].get("X")) or original(*args))
+    # the relations the body's atom X(x,y) is tested against, one per evaluation
+    monkeypatch.setattr(ev._Partial, "__contains__",
+                        lambda rel, t: asked.append(rel) or contains(rel, t))
     free = parse_formula("A2log[1] X:2 . Ex.Ey.(!X(x,y)"
                          " & ifp[Y(u,v) <- E(u,v) | Ez.(E(u,z) & Y(z,v))](x,y))")
-
-    def counting(a, g, env, memo):
-        bodies.append(g is free.body)
-        return original_ev(a, g, env, memo)
-    monkeypatch.setattr(ev, "_ev", counting)
-    memo = {}
-    assert _ev(digraph(4, {(0, 1), (1, 2), (2, 3)}), free, {}, memo)
-    assert len(relations) == 1 and sum(bodies) > 1
-    assert [key for key in memo if type(key) is tuple] == [(free.body.body.body.right,)]
-    monkeypatch.setattr(ev, "_ev", original_ev)
+    memo, path = {}, {(0, 1), (1, 2), (2, 3)}
+    assert _ev(digraph(4, path), free, {}, memo)
+    assert len(relations) == 1 and len({id(rel) for rel in asked}) > 1
+    fixed = [value for value in memo.values() if type(value) is frozenset]
+    assert fixed == [frozenset(_reachability(4, path))]
 
     reads = parse_formula("E2log[1] X:2 . Ax.Ay.(E(x,y) -> "
                           "ifp[Y(u,v) <- X(u,v) | Ez.(X(u,z) & Y(z,v))](x,y))")
@@ -450,7 +527,7 @@ def test_ifp_memo_under_the_log_search(monkeypatch):
         memo = {}
         assert _ev(a, reads, {}, memo) == eval_oracle.evaluate(a, reads)
         assert len({id(rel) for rel in relations}) == len(relations)
-        assert [key for key in memo if type(key) is tuple] == []
+        assert not any(type(value) is frozenset for value in memo.values())
 
 
 def test_ifp_transitive_closure_path():
