@@ -57,9 +57,7 @@ def _parse_tuples(text: str) -> list:
 def _sig_from_file(path: str) -> core.Signature:
     doc = core.read_json(path, "signature")
     try:
-        rels = doc["signature"] if "signature" in doc else doc["relations"]
-        return core.Signature(tuple((n, int(a)) for n, a in rels),
-                              bool(doc.get("ordered", False)))
+        return core.signature_from_json(doc, "signature" if "signature" in doc else "relations")
     except (KeyError, ValueError, TypeError) as exc:
         raise ParseError(f"malformed signature document: {type(exc).__name__}: {exc}") from exc
 
@@ -101,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("jdecode", help="canonical preimage of a bitstring")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--bits", required=True, default="")
+    sp.add_argument("--bits", required=True)
     sp.add_argument("--k", type=int, default=1)
 
     sp = sub.add_parser("interp-apply", help="apply an interpretation to a structure")

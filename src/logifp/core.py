@@ -209,12 +209,16 @@ def structure_to_json(a: Structure) -> dict:
     }
 
 
+def signature_from_json(doc: dict, key: str) -> Signature:
+    """The signature whose `[name, arity]` pairs are `doc[key]`, ordered if
+    `doc` says so."""
+    return Signature(tuple((name, int(arity)) for name, arity in doc[key]),
+                     bool(doc.get("ordered", False)))
+
+
 def structure_from_json(doc: dict) -> Structure:
     try:
-        sig = Signature(
-            relations=tuple((name, int(arity)) for name, arity in doc["signature"]),
-            ordered=bool(doc.get("ordered", False)),
-        )
+        sig = signature_from_json(doc, "signature")
         rels = {name: [tuple(t) for t in ts] for name, ts in doc.get("relations", {}).items()}
         return Structure(sig, int(doc["n"]), rels)
     except (KeyError, ValueError, TypeError, AttributeError) as exc:

@@ -4,9 +4,10 @@ the guess-then-check runner.
 
 `prepare` turns each formula node, once per node object, into a closure
 `(structure, assignment, memo) -> bool` with its subformulas' closures,
-its flattened `&`/`|` members and its term getters bound in; `!!g` is g's
-closure.  No structure is bound in, so one prepared formula evaluates on
-any structure, and every check of the structure stays where it was made.
+its flattened `&`/`|` members or quantifier block and its term getters
+bound in; `!!g` is g's closure.  No structure is bound in, so one
+prepared formula evaluates on any structure, and every check of the
+structure stays where it was made.
 
 An assignment is a plain dict mapping element-variable names to domain
 indices and relation-variable names to relations (frozensets of tuples,
@@ -15,11 +16,14 @@ element variables are lowercase and relation variables uppercase.  No
 function writes into an assignment it was handed or a solution it was
 given: an extension is always a new dict.
 
-Existential quantifiers, fixed-point stages and interpretation universes
-are built from the satisfying assignments `_solve` generates: an atom
-scans its relation, `x = t` binds x, conjunctions thread solutions left
-to right, disjunctions chain them, and any other formula pads its unbound
-variables from the domain and is tested.
+A maximal prefix of `E` (or of `A`) element quantifiers is one block
+that binds its variables at once.  Existential blocks, fixed-point stages
+and interpretation universes are built from the satisfying assignments
+`_solve` generates: an atom scans its relation, `x = t` binds x,
+conjunctions thread solutions left to right, disjunctions chain them, and
+any other formula pads its unbound variables from the domain and is
+tested (`_tested`, in ascending order).  A universal block holds when
+that testing finds no counterexample.
 
 `E2log`/`A2log` branch on the tuples the body reads (`_search`): the body
 is evaluated under a relation that is fixed on the tuples answered so far
@@ -29,11 +33,11 @@ splits the rest of the search.  Where that meets an `OutOfRange`,
 enumerated in `enumerate_bounded_relations` order instead.
 
 Each top-level call also creates one memo dict, passed down explicitly,
-that holds the fixed points computed so far, keyed by a key object of
-the prepared Ifp node (hashed by identity, not by the formula's value)
-and the values of the names its body reads from the assignment, so the
-memo lives as long as that call.  A fixed point keyed on a node of the
-search lives in that node's `_Memo` and dies with it.
+that holds the fixed points computed so far, keyed by the printed form of
+the fixed point, taken once when the Ifp node is prepared (so equal nodes
+share their entries), and the values of the names its body reads from the
+assignment, so the memo lives as long as that call.  A fixed point keyed
+on a node of the search lives in that node's `_Memo` and dies with it.
 """
 
 from __future__ import annotations
@@ -72,8 +76,8 @@ from .formula import (
     Var,
     fold,
     metrics,
+    pretty,
     terms,
-    walk,
 )
 
 __all__ = [
@@ -110,10 +114,6 @@ def evaluate(a: Structure, f: Formula, env: Optional[dict] = None) -> bool:
     return prepare(f)(a, env or {}, {})
 
 
-def _ev(a: Structure, f: Formula, env: dict, memo: dict) -> bool:
-    return prepare(f)(a, env, memo)
-
-
 def _relation(a: Structure, name: str, env: dict):
     rel = a.rels.get(name)
     if rel is None:
@@ -126,23 +126,26 @@ def _relation(a: Structure, name: str, env: dict):
 def prepare(f: Formula) -> Callable[[Structure, dict, dict], bool]:
     """The closure `(a, env, memo) -> bool` of `f`.  It is built bottom-up by
     `fold` on first use and kept on each node, outside its dataclass fields,
-    as `_ev`, beside `_parts` (a maximal `&`/`|` chain's members or an atomic
-    formula's term getters) and `_elems` (the element variables it reads
-    free).  None of them refers back to the node, so a dropped formula is
-    freed without the cycle collector."""
+    as `_ev`, beside `_parts` (the members of a maximal `&`/`|` chain, the
+    body under a maximal block of one kind of element quantifier, or an
+    atomic formula's term getters), `_bound` (the block's variables, each at
+    its last binding and in binding order, or a fixed point's), and `_elems`
+    and `_rels` (the element variables and relation names it reads free).
+    None of them refers back to the node, so a dropped formula is freed
+    without the cycle collector."""
     ev = getattr(f, "_ev", None)
     return ev if ev is not None else fold(f, None, _PREPARE)[0]._ev
 
 
 _SUBFORMULAS = {Not: ("body",), Implies: ("left", "right"),
-                **dict.fromkeys((Exists, Forall, ExistsLog, ForallLog, Ifp), ("body",))}
+                **dict.fromkeys((ExistsLog, ForallLog, Ifp), ("body",))}
 
 
 def _descend(g, c, done, push):
     if "_ev" in g.__dict__:  # prepared before, or met earlier in this formula
         done.append(g)
         return
-    t = type(g)
+    t, names = type(g), None
     kids = [getattr(g, name) for name in _SUBFORMULAS.get(t, ())]
     if t is And or t is Or:  # the members of the maximal chain, left to right
         todo = [g]
@@ -152,20 +155,29 @@ def _descend(g, c, done, push):
                 todo += (h.right, h.left)
             else:
                 kids.append(h)
-    push([(_finish, (g, len(kids))), *[(h, c) for h in reversed(kids)]])
+    elif t is Exists or t is Forall:  # the block's variables and the body under it
+        h, names = g, {}
+        while type(h) is t:
+            names.pop(h.var, None)
+            names[h.var] = None
+            h = h.body
+        names, kids = tuple(names), [h]
+    push([(_finish, (g, len(kids), names)), *[(h, c) for h in reversed(kids)]])
 
 
 def _finish(data, done, push):
-    g, count = data
+    g, count, names = data
     t, kids = type(g), done[len(done) - count:]  # the prepared subformulas
     del done[len(done) - count:]
-    get = [_getter(x) for x in terms(g)]
-    bound = (g.var,) if t is Exists or t is Forall else getattr(g, "vars", ())
+    parts = kids if t is And or t is Or or names else [_getter(x) for x in terms(g)]
+    bound = names or getattr(g, "vars", ())
+    rels = frozenset().union(*[k._rels for k in kids])
     g.__dict__.update(
-        _parts=kids if t is And or t is Or else get,
+        _parts=parts, _bound=bound,
         _elems=frozenset().union(*[k._elems for k in kids]).difference(bound).union(
             [x.name for x in terms(g) if type(x) is Var]),
-        _ev=_BUILD[t](g, kids, get))
+        _rels=rels.union((g.name,)) if t is Atom else rels.difference((getattr(g, "relvar", ""),)))
+    g.__dict__["_ev"] = _BUILD[t](g, kids, parts)
     done.append(g)
 
 
@@ -239,43 +251,42 @@ def _implies(g, kids, get):
 
 
 def _quantifier(g, kids, get):
-    var, body, run = g.var, g.body, kids[0]._ev
-    if type(g) is Forall:
-        return lambda a, env, memo: not _some(a, run, env, var, range(a.n), False, memo)
+    names, body, run = g._bound, kids[0], kids[0]._ev
+    if type(g) is Forall:  # true when ascending testing finds no counterexample
+        def fails(a, env, memo):
+            return not run(a, env, memo)
+        return lambda a, env, memo: next(_tested(a, fails, env, names, memo), None) is None
 
     def ev(a, env, memo):
-        env = _without(env, var)
         try:
-            return next(_solve(a, body, env, (var,), memo), None) is not None
+            return next(_solve(a, body, _without(env, names), names, memo), None) is not None
         except _LAZY_ERRORS:
-            return _some(a, run, env, var, range(a.n), True, memo)
+            return next(_tested(a, run, env, names, memo), None) is not None
     return ev
 
 
 def _log(g, kids, get):
-    k, relvar, arity, body, run = g.k, g.relvar, g.arity, g.body, kids[0]._ev
+    k, relvar, arity, run = g.k, g.relvar, g.arity, kids[0]._ev
     want = type(g) is ExistsLog
 
     def ev(a, env, memo):
+        bound = log_pow(a.n, k)
         try:
-            return _search(a, body, relvar, arity, log_pow(a.n, k), env, want, memo) == want
+            return _search(a, run, relvar, arity, bound, env, want, memo) == want
         except _LAZY_ERRORS:
-            rels = enumerate_bounded_relations(a.n, arity, log_pow(a.n, k))
-            return _some(a, run, env, relvar, rels, want, memo) == want
+            return any(run(a, {**env, relvar: rel}, memo) == want
+                       for rel in enumerate_bounded_relations(a.n, arity, bound)) == want
     return ev
 
 
 def _ifp(g, kids, get):
-    body, vars, relvar, key = g.body, g.vars, g.relvar, object()  # a memo key by identity
-    elems = tuple(body._elems.difference(vars))
-    rels = {h.name for h, _, bound, _ in walk(body) if type(h) is Atom and h.name not in bound}
-    rels.discard(relvar)
+    body, vars, relvar = g.body, g.vars, g.relvar
+    key = (vars, relvar, pretty(body))  # equal fixed points share their memo entries
+    # the names the body reads from the assignment, other than its own, sorted
+    # so that equal nodes put their values in one order
+    reads = sorted(kids[0]._elems.difference(vars) | kids[0]._rels.difference((relvar,)))
 
     def ev(a, env, memo):
-        reads = memo.get(key)
-        if reads is None:
-            # the names the body reads from the assignment, other than its own
-            reads = memo[key] = elems + tuple(name for name in rels if name not in a.rels)
         at = (key, *[env.get(name, _MISSING) for name in reads])
         fixed = memo.get(at)
         if fixed is None:
@@ -284,23 +295,11 @@ def _ifp(g, kids, get):
     return ev
 
 
-# The closure of node g from g, its prepared subformulas and its terms'
-# getters; none of them refers to g itself.
+# The closure of node g from g, its prepared subformulas and its `_parts`;
+# none of them refers to g itself.
 _BUILD = {Atom: _atom, Eq: _compare, Less: _compare, Bit: _compare, Not: _not, And: _and_or,
           Or: _and_or, Implies: _implies, Exists: _quantifier, Forall: _quantifier,
           ExistsLog: _log, ForallLog: _log, Ifp: _ifp}
-
-
-def _some(a: Structure, body: Callable, env: dict, name: str, values, want: bool,
-          memo: dict) -> bool:
-    """Whether the prepared `body` evaluates to `want` with `name` bound to
-    some of `values`, tried in order."""
-    env = dict(env)
-    for value in values:
-        env[name] = value
-        if body(a, env, memo) == want:
-            return True
-    return False
 
 
 class _Partial:
@@ -373,10 +372,10 @@ class _Memo(dict):
             self.outer[key] = value
 
 
-def _search(a: Structure, body: Formula, relvar: str, arity: int, bound: int, env: dict,
+def _search(a: Structure, run: Callable, relvar: str, arity: int, bound: int, env: dict,
             want: bool, memo: dict) -> bool:
-    """Whether `body` evaluates to `want` with `relvar` bound to some
-    relation of `arity` and at most `bound` tuples.
+    """Whether the prepared body `run` evaluates to `want` with `relvar`
+    bound to some relation of `arity` and at most `bound` tuples.
 
     Each node evaluates the body once.  Evaluation is deterministic given
     the answers, so the value holds for every relation that agrees with
@@ -389,7 +388,7 @@ def _search(a: Structure, body: Formula, relvar: str, arity: int, bound: int, en
     while True:
         parents = []
         for node in level:
-            if _ev(a, body, {**env, relvar: node}, _Memo(memo, node)) == want:
+            if run(a, {**env, relvar: node}, _Memo(memo, node)) == want:
                 return True
             if len(node.members) < bound:
                 parents.append(node)
@@ -398,9 +397,11 @@ def _search(a: Structure, body: Formula, relvar: str, arity: int, bound: int, en
         level = (child for node in parents for child in node.children())
 
 
-def _without(env: dict, name: str) -> dict:
-    """`env` with `name` unbound."""
-    return {k: v for k, v in env.items() if k != name} if name in env else env
+def _without(env: dict, names: tuple) -> dict:
+    """`env` with `names` unbound."""
+    if env.keys().isdisjoint(names):
+        return env
+    return {k: v for k, v in env.items() if k not in names}
 
 
 def _solve(a: Structure, f: Formula, env: dict, want: tuple, memo: dict) -> Iterator[dict]:
@@ -442,13 +443,16 @@ def _solve(a: Structure, f: Formula, env: dict, want: tuple, memo: dict) -> Iter
         return _join(a, f._parts, env, want, memo)
     elif t is Or:
         return itertools.chain.from_iterable(_solve(a, g, env, want, memo) for g in f._parts)
-    elif t is Exists:
-        return _solve_exists(a, f, env, want, memo)
+    elif t is Exists:  # the body's solutions, the block's variables hidden from the caller
+        names = f._bound
+        kept = {name: env[name] for name in names if name in env}
+        return ({**_without(ext, names), **kept} for ext in _solve(
+            a, f._parts[0], _without(env, names), tuple(dict.fromkeys(want + names)), memo))
     return _tested(a, ev, env, [name for name in want if name not in env and name in f._elems],
                    memo)
 
 
-def _tested(a: Structure, ev: Callable, env: dict, names: list, memo: dict,
+def _tested(a: Structure, ev: Callable, env: dict, names, memo: dict,
             known=()) -> Iterator[dict]:
     """The extensions of `env` that bind `names` to a combination of domain
     elements, the last name fastest, under which the prepared `ev` holds,
@@ -490,14 +494,6 @@ def _join(a: Structure, parts: list, env: dict, want: tuple, memo: dict) -> Iter
             yield ext
         else:
             stack.append(_solve(a, parts[len(stack)], ext, want, memo))
-
-
-def _solve_exists(a: Structure, f: Exists, env: dict, want: tuple,
-                  memo: dict) -> Iterator[dict]:
-    """Solutions of the body with its variable hidden from the caller."""
-    for ext in _solve(a, f.body, _without(env, f.var),
-                      want if f.var in want else want + (f.var,), memo):
-        yield {**ext, f.var: env[f.var]} if f.var in env else _without(ext, f.var)
 
 
 def satisfying(a: Structure, f: Formula, names: tuple, env: Optional[dict] = None,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import Optional
 
-from .core import STR_SIG, Signature, Structure, ceil_log, read_json
+from .core import STR_SIG, Signature, Structure, ceil_log, read_json, signature_from_json
 from .errors import (
     ArityOverflow,
     EmptyUniverse,
@@ -364,15 +364,11 @@ def interpretation_to_json(i: Interpretation) -> dict:
 
 
 def interpretation_from_json(doc: dict) -> Interpretation:
-    def sig(d):
-        return Signature(tuple((n, int(a)) for n, a in d["relations"]),
-                         bool(d.get("ordered", False)))
-
     try:
         return Interpretation(
             width=int(doc["width"]),
-            source=sig(doc["source"]),
-            target=sig(doc["target"]),
+            source=signature_from_json(doc["source"], "relations"),
+            target=signature_from_json(doc["target"], "relations"),
             uni=parse_formula(doc["uni"]),
             rels={name: parse_formula(text) for name, text in doc["rels"].items()},
             less=parse_formula(doc["less"]) if "less" in doc else None,

@@ -352,6 +352,14 @@ def test_check_quantifier_prefix(tmp_path, capsys):
     assert code == 0 and out.startswith("formula=" + "Ex. " * 1000 + "x=x\n")
 
 
+@pytest.mark.parametrize("head", ["Ex. ", "Ax. "])
+def test_eval_quantifier_prefix(tmp_path, capsys, head):
+    prefix = tmp_path / "prefix.txt"
+    prefix.write_text(head * 1000 + "x=x")
+    assert run(["eval", "--string", "01", "--formula-file", str(prefix)],
+               capsys) == (0, "result: true\n")
+
+
 def test_interp_transform_deep_conjunction(tmp_path, capsys):
     code, doc = run(["build-jred", "--r", "1"], capsys)
     assert code == 0

@@ -23,7 +23,6 @@ from logifp.errors import (
     UnsupportedShape,
 )
 from logifp.evaluate import (
-    _ev,
     _j_fiber,
     _solve,
     enumerate_bounded_relations,
@@ -31,6 +30,7 @@ from logifp.evaluate import (
     evaluate_via_bitstrings,
     gc_check,
     ifp_fixpoint,
+    prepare,
     satisfying,
 )
 from logifp.formula import (
@@ -322,17 +322,65 @@ def test_solve_yields_the_satisfying_extensions(strings):
     ("ifp[Y(u) <- u=x | Ez.(Y(z) & z<u)](y)", {"x": 1, "y": 0}, False),
 ])
 def test_assignments_are_only_read(text, env, expected):
-    """_ev, satisfying and ifp_fixpoint take a read-only assignment, also
-    where an error met by generation makes them test binding by binding."""
+    """Prepared formulas, satisfying and ifp_fixpoint take a read-only
+    assignment, also where an error met by generation makes them test
+    binding by binding."""
     u, f = from_text("01"), parse_formula(text)
     frozen = MappingProxyType(dict(env))
-    assert _ev(u, f, frozen, {}) is expected
+    assert prepare(f)(u, frozen, {}) is expected
     assert satisfying(u, f, ("x", "y"), frozen) \
         == frozenset(p for p in itertools.product(range(2), repeat=2)
                      if eval_oracle.evaluate(u, f, {**env, "x": p[0], "y": p[1]}))
     assert ifp_fixpoint(u, f, ("y",), "E", frozen) \
         == eval_oracle.ifp_fixpoint(u, f, ("y",), "E", env)
     assert dict(frozen) == env
+
+
+def _random_matrix(rng, depth, base):
+    """A random quantifier-free formula over x, y and z."""
+    if depth <= 0:
+        return _random_log_formula(rng, 0, base, {})
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Not(_random_matrix(rng, depth - 1, base))
+    return (And, Or)[kind - 1](_random_matrix(rng, depth - 1, base),
+                               _random_matrix(rng, depth - 1, base))
+
+
+@pytest.mark.parametrize("strings", [True, False])
+@pytest.mark.parametrize("quant", [Exists, Forall])
+def test_repeated_prefix_variables_agree_with_the_oracle(strings, quant):
+    """`Qx.Qy.Qx.φ` binds y and then x as one block: its answer, or the
+    error it raises, is the oracle's, which tests every binding of all
+    three in ascending order.  An existential block may answer where the
+    oracle meets an error only as three-valued logic decides."""
+    rng = random.Random(41 if strings else 42)
+    base = ("P1", 1) if strings else ("E", 2)
+    errors = 0
+    for _ in range(600):
+        f = quant("x", quant("y", quant("x", _random_matrix(rng, rng.randint(0, 3), base))))
+        n = rng.randint(1, 4)
+        if strings:
+            u = from_text("".join(rng.choice("01") for _ in range(n)))
+        else:
+            u = digraph(n, _random_digraph(rng, n))
+        env = {v: rng.randrange(n) for v in "xyz" if rng.random() < 0.5}
+        got = outcome(evaluate, u, f, env)
+        expected = outcome(eval_oracle.evaluate, u, f, env)
+        errors += expected in eval_oracle.LAZY
+        if quant is Forall or got in eval_oracle.LAZY:
+            assert got == expected, pretty(f)
+        else:
+            assert agrees(got, expected, lambda: outcome(eval_oracle.decided, u, f, env)), pretty(f)
+    assert errors > 50
+
+
+def test_a_repeated_variable_is_bound_at_its_last_binding():
+    # the block binds y, then x: after (y, x) = (0, 0) comes the
+    # counterexample (0, 1), before (1, 0) would meet the unbound z
+    u, f = from_text("01"), parse_formula("Ax.Ay.Ax.(y=x | (P1(y) & z=z))")
+    assert eval_oracle.evaluate(u, f) is False
+    assert evaluate(u, f) is False
 
 
 def test_log_quantifier_cannot_cover_larger_domain():
@@ -475,23 +523,24 @@ def test_log_search_evaluates_the_body_at_most_as_often_as_enumeration(
         monkeypatch, text, string, answer):
     """An exhaustive search evaluates the body at most once per bounded
     relation, a witnessed one at most once per relation no larger than
-    the smallest witness."""
+    the smallest witness.  The body is evaluated once per node of the
+    search, and each node builds one `_Memo`."""
     ev = importlib.import_module("logifp.evaluate")
     u, f = from_text(string), parse_formula(text)
     want, bound = type(f) is ExistsLog, log_pow(u.n, f.k)
-    original, calls = ev._ev, []
+    calls = []
 
-    def counting(a, g, env, memo):
-        if g is f.body:
+    class Counting(ev._Memo):
+        def __init__(self, outer, rel):
             calls.append(1)
-        return original(a, g, env, memo)
-    monkeypatch.setattr(ev, "_ev", counting)
+            super().__init__(outer, rel)
+    monkeypatch.setattr(ev, "_Memo", Counting)
     assert evaluate(u, f) is answer
     monkeypatch.undo()
     size = bound
     if answer == want:  # witnessed
         size = next(len(rel) for rel in enumerate_bounded_relations(u.n, f.arity, bound)
-                    if _ev(u, f.body, {f.relvar: rel}, {}) == want)
+                    if prepare(f.body)(u, {f.relvar: rel}, {}) == want)
     assert 0 < len(calls) <= sum(math.comb(u.n ** f.arity, i) for i in range(size + 1))
 
 
@@ -512,7 +561,7 @@ def test_ifp_memo_under_the_log_search(monkeypatch):
     free = parse_formula("A2log[1] X:2 . Ex.Ey.(!X(x,y)"
                          " & ifp[Y(u,v) <- E(u,v) | Ez.(E(u,z) & Y(z,v))](x,y))")
     memo, path = {}, {(0, 1), (1, 2), (2, 3)}
-    assert _ev(digraph(4, path), free, {}, memo)
+    assert prepare(free)(digraph(4, path), {}, memo)
     assert len(relations) == 1 and len({id(rel) for rel in asked}) > 1
     fixed = [value for value in memo.values() if type(value) is frozenset]
     assert fixed == [frozenset(_reachability(4, path))]
@@ -525,7 +574,7 @@ def test_ifp_memo_under_the_log_search(monkeypatch):
         a = digraph(n, _random_digraph(rng, n))
         relations.clear()
         memo = {}
-        assert _ev(a, reads, {}, memo) == eval_oracle.evaluate(a, reads)
+        assert prepare(reads)(a, {}, memo) == eval_oracle.evaluate(a, reads)
         assert len({id(rel) for rel in relations}) == len(relations)
         assert not any(type(value) is frozenset for value in memo.values())
 
@@ -667,6 +716,19 @@ def test_ifp_memo_spans_the_stages_of_an_enclosing_fixed_point(monkeypatch):
     a = digraph(4, {(0, 0), (0, 1), (1, 2), (2, 3)})
     assert evaluate(a, f, {"x": 3})
     assert len(calls) == 2
+
+
+def test_equal_fixed_points_are_computed_once(monkeypatch):
+    ev = importlib.import_module("logifp.evaluate")
+    calls = []
+    original = ev.ifp_fixpoint
+    monkeypatch.setattr(ev, "ifp_fixpoint", lambda *args: calls.append(1) or original(*args))
+    reach = "ifp[Y(u,v) <- E(u,v) | Ez.(E(u,z) & Y(z,v))]"
+    # one fixed point spelt twice, applied to different terms
+    f = parse_formula(f"Ax.Ay.({reach}(x,y) -> ({reach}(x,y) & !{reach}(y,x)))")
+    a = digraph(4, {(0, 1), (1, 2), (2, 3)})
+    assert evaluate(a, f) is True
+    assert len(calls) == 1
 
 
 def test_bitstring_path_example():
