@@ -19,18 +19,21 @@ given: an extension is always a new dict.
 A maximal prefix of `E` (or of `A`) element quantifiers is one block
 that binds its variables at once.  Existential blocks, fixed-point stages
 and interpretation universes are built from the satisfying assignments
-`_solve` generates: an atom scans its relation, `x = t` binds x,
-conjunctions thread solutions left to right, disjunctions chain them, and
-any other formula pads its unbound variables from the domain and is
-tested (`_tested`, in ascending order).  A universal block holds when
-that testing finds no counterexample.
+`_solve` generates: an atom scans its relation, `x = t` binds x, `x < t`
+and `t < x` bind x to the range below or above t, conjunctions thread
+solutions left to right, disjunctions chain them, and any other formula
+pads its unbound variables from the domain and is tested (`_tested`, in
+ascending order).  A universal block holds when that testing finds no
+counterexample.  An atomic formula over variables alone reads them in
+one step.
 
 `E2log`/`A2log` branch on the tuples the body reads (`_search`): the body
 is evaluated under a relation that is fixed on the tuples answered so far
-and empty elsewhere, and each tuple it asks about without an answer
-splits the rest of the search.  Where that meets an `OutOfRange`,
-`UnboundVariable` or `OrderUsedUnordered` error, the relations are
-enumerated in `enumerate_bounded_relations` order instead.
+and empty elsewhere, and each tuple it asks about without an answer, or
+that a scan of it could match, splits the rest of the search.  Where
+that meets an `OutOfRange`, `UnboundVariable` or `OrderUsedUnordered`
+error, the relations are enumerated in `enumerate_bounded_relations`
+order instead.
 
 Each top-level call also creates one memo dict, passed down explicitly,
 that holds the fixed points computed so far, keyed by the printed form of
@@ -209,21 +212,52 @@ def _getter(t) -> Callable[[Structure, dict], int]:
     return constant
 
 
+def _names(g) -> Optional[tuple]:
+    """The names of g's arguments where every one is a variable, else None."""
+    args = terms(g)
+    names = tuple([x.name for x in args if type(x) is Var])
+    return names if names and len(names) == len(args) else None
+
+
+def _unbound(names: tuple, env: dict) -> UnboundVariable:
+    return UnboundVariable(next(name for name in names if name not in env))
+
+
 def _atom(g, kids, get):
-    name = g.name
-    return lambda a, env, memo: tuple([value(a, env) for value in get]) in _relation(a, name, env)
+    name, names = g.name, _names(g)
+    if names is None:  # a literal or logn among the arguments
+        return lambda a, env, memo: tuple([v(a, env) for v in get]) in _relation(a, name, env)
+    read, one = operator.itemgetter(*names), len(names) == 1
+
+    def ev(a, env, memo):  # every argument read in one step
+        try:
+            args = (read(env),) if one else read(env)
+        except KeyError:
+            raise _unbound(names, env) from None
+        # _relation for a relation variable or an empty relation
+        return args in (a.rels.get(name) or _relation(a, name, env))
+    return ev
 
 
 def _compare(g, kids, get):
-    (left, right), t = get, type(g)
-    if t is Eq:
-        return lambda a, env, memo: left(a, env) == right(a, env)
-    test, what = (operator.lt, "'<'") if t is Less else (lambda y, x: (y >> x) & 1 == 1, "BIT")
+    (left, right), t, names = get, type(g), _names(g)
+    test = operator.eq if t is Eq else operator.lt if t is Less else lambda y, x: (y >> x) & 1 == 1
+    what = None if t is Eq else "'<'" if t is Less else "BIT"
+    if names is None:
+        def ev(a, env, memo):
+            if what and not a.sig.ordered:
+                raise OrderUsedUnordered(f"{what} on an unordered structure")
+            return test(left(a, env), right(a, env))
+        return ev
+    read = operator.itemgetter(*names)
 
-    def ev(a, env, memo):
-        if not a.sig.ordered:
+    def ev(a, env, memo):  # both sides read in one step
+        if what and not a.sig.ordered:
             raise OrderUsedUnordered(f"{what} on an unordered structure")
-        return test(left(a, env), right(a, env))
+        try:
+            return test(*read(env))
+        except KeyError:
+            raise _unbound(names, env) from None
     return ev
 
 
@@ -306,27 +340,27 @@ class _Partial:
     """A node of `_search`: the relation that holds `members` and no other
     tuple.  A membership test records each tuple of its arity that neither
     the node nor an ancestor answered in `reads`, in the order first asked;
-    a scan reads every tuple, and the ones not asked before follow in
-    order when the children are built.  `index` maps each tuple recorded
-    to its place in `reads`, or to -1 where an ancestor answered it "out".
-    Child `cut` of `parent` answers the parent's reads before place `cut`
-    "out" and the one at it "in"."""
+    a scan reads the tuples with its fixed values and repeated entries, and
+    those not asked before follow in order when the children are built.
+    `index` maps each tuple recorded to its place in `reads`, or to -1
+    where an ancestor answered it "out".  Child `cut` of `parent` answers
+    the parent's reads before place `cut` "out" and the one at it "in"."""
 
-    __slots__ = ("members", "parent", "cut", "n", "arity", "reads", "index", "scanned")
+    __slots__ = ("members", "parent", "cut", "n", "arity", "reads", "index", "scans")
 
     def __init__(self, members: frozenset, parent, cut: int, n: int, arity: int):
         self.members, self.parent, self.cut, self.n, self.arity = members, parent, cut, n, arity
-        self.reads, self.index, self.scanned = [], {}, False
+        self.reads, self.index, self.scans = [], {}, set()
 
     def __contains__(self, t) -> bool:
         if t in self.members:
             return True
-        if not self.scanned and t not in self.index and len(t) == self.arity:
+        if t not in self.index and len(t) == self.arity:
             self._ask(t)
         return False
 
-    def __iter__(self):
-        self.scanned = True
+    def scan(self, values: tuple, repeated: tuple) -> Iterator[tuple]:
+        self.scans.add((values, repeated))
         return iter(self.members)
 
     def _ask(self, t: tuple) -> None:
@@ -342,9 +376,11 @@ class _Partial:
             self.reads.append(t)
 
     def children(self) -> Iterator[_Partial]:
-        if self.scanned:
+        if self.scans:
             for t in itertools.product(range(self.n), repeat=self.arity):
-                if t not in self.members and t not in self.index:
+                if t not in self.members and t not in self.index and any(
+                        all(t[i] == v for i, v in fixed) and all(t[i] == t[j] for i, j in repeated)
+                        for fixed, repeated in self.scans):
                     self._ask(t)
         for cut, t in enumerate(self.reads):
             yield _Partial(self.members | {t}, self, cut, self.n, self.arity)
@@ -413,10 +449,7 @@ def _solve(a: Structure, f: Formula, env: dict, want: tuple, memo: dict) -> Iter
     for every value of it.
     """
     ev = prepare(f)
-    for name in want:
-        if name not in env:
-            break
-    else:  # nothing left to bind: a test
+    if all(map(env.__contains__, want)):  # nothing left to bind: a test
         return iter((env,) if ev(a, env, memo) else ())
     t = type(f)
     if t is Atom:
@@ -433,12 +466,18 @@ def _solve(a: Structure, f: Formula, env: dict, want: tuple, memo: dict) -> Iter
         else:
             if slot:
                 return _scan(a, f, f._parts, env, slot, fixed, repeated)
-    elif t is Eq:
+    elif t is Eq or t is Less:  # x = t binds x to t; x < t and t < x to a range
         left, right = f._parts
-        for var, other, value in ((f.left, f.right, right), (f.right, f.left, left)):
+        for var, other, value, above in ((f.left, f.right, right, False),
+                                         (f.right, f.left, left, True)):
             if (type(var) is Var and var.name in want and var.name not in env
                     and not (type(other) is Var and other.name not in env)):
-                return iter(({**env, var.name: value(a, env)},))
+                if t is Eq:
+                    return iter(({**env, var.name: value(a, env)},))
+                if not a.sig.ordered:
+                    raise OrderUsedUnordered("'<' on an unordered structure")
+                values = range(value(a, env) + 1, a.n) if above else range(value(a, env))
+                return ({**env, var.name: x} for x in values)
     elif t is And:
         return _join(a, f._parts, env, want, memo)
     elif t is Or:
@@ -470,10 +509,11 @@ def _scan(a: Structure, f: Atom, get: list, env: dict, slot: dict, fixed: list,
     in every tuple of the relation of `f` that agrees with the values of
     the `fixed` arguments, read by their getters `get`, and repeats the
     first position of a name at the `repeated` ones."""
-    values = [(i, get[i](a, env)) for i in fixed]
+    values = tuple([(i, get[i](a, env)) for i in fixed])
     checked = values or repeated
     slot = list(slot.items())
-    for row in _relation(a, f.name, env):
+    rel = _relation(a, f.name, env)
+    for row in rel.scan(values, tuple(repeated)) if type(rel) is _Partial else rel:
         if checked and not (all(row[i] == v for i, v in values)
                             and all(row[i] == row[j] for i, j in repeated)):
             continue

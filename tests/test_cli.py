@@ -371,6 +371,19 @@ def test_interp_transform_deep_conjunction(tmp_path, capsys):
     assert code == 0 and out.startswith("formula=Ex_0. Ex_1. ")
 
 
+@pytest.mark.parametrize("text", [
+    "Ex. " + " & ".join(["P1(x)"] * 3000),
+    "Ex.Ey.(" + " & ".join(["(P1(x) | x<y)"] * 2000) + " & P0(y))",
+], ids=["scanned-chain", "ranged-chain"])
+def test_eval_deep_generation(tmp_path, capsys, text):
+    # the solutions of a long conjunction are generated from one stack, not
+    # from one Python frame per member
+    chain = tmp_path / "chain.txt"
+    chain.write_text(text)
+    assert run(["--format", "machine", "eval", "--string", "01", "--formula-file", str(chain)],
+               capsys) == (0, "result=true\n")
+
+
 def test_eval_deep_conjunction(tmp_path, capsys):
     chain = tmp_path / "chain.txt"
     chain.write_text("Ex. " + " & ".join(["x=x"] * 3000))

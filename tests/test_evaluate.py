@@ -45,6 +45,7 @@ from logifp.formula import (
     Implies,
     Less,
     Lit,
+    LogN,
     Not,
     Or,
     Var,
@@ -123,6 +124,28 @@ def test_unbound_variable():
     for text in ("Ex. y=y", "Ex. x=y", "Ex. y=x", "Ex. E(x,y)"):
         with pytest.raises(UnboundVariable):
             evaluate(a, parse_formula(text))
+
+
+def _result(fn, *args):
+    """fn(*args), or the class and message of the LogifpError it raises."""
+    try:
+        return fn(*args)
+    except LogifpError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("text", ["E(x,y)", "E(y,x)", "P1(x)", "x<y", "y<x", "x=y", "y=x"])
+@pytest.mark.parametrize("structure", ["ordered", "unordered", "string"])
+def test_atoms_read_in_one_step_raise_as_the_oracle(text, structure):
+    """An atom over variables reads them in one step, yet raises what the
+    oracle raises, class and message: the first unbound variable in
+    argument order, then an unbound relation (E in a string, P1 in a
+    digraph), or `<` on an unordered structure first."""
+    a = from_text("011") if structure == "string" else digraph(
+        3, {(0, 1), (2, 2)}, ordered=structure == "ordered")
+    f = parse_formula(text)
+    for env in ({}, {"x": 1}, {"y": 2}, {"x": 1, "y": 2}, {"x": 2, "y": 2}):
+        assert _result(prepare(f), a, env, {}) == _result(eval_oracle.evaluate, a, f, env), env
 
 
 def test_errors_follow_the_order_of_disjuncts():
@@ -383,6 +406,82 @@ def test_a_repeated_variable_is_bound_at_its_last_binding():
     assert evaluate(u, f) is False
 
 
+def _random_bound(rng):
+    """A variable, a literal from 0 to 4 or logn."""
+    kind = rng.randrange(4)
+    return Var(rng.choice("xyz")) if kind < 2 else Lit(rng.randrange(5)) if kind == 2 else LogN()
+
+
+def _random_order_formula(rng, depth, atoms):
+    """A random formula over x, y and z whose atoms are mostly `t<x`, `x<t`
+    or `x<x`, t from `_random_bound`, and otherwise one of `atoms` (name,
+    arity) over variables, with `Ex.` blocks of one or two variables."""
+    if depth <= 0:
+        x, kind = Var(rng.choice("xyz")), rng.randrange(7)
+        if kind == 0:
+            return Less(x, x)
+        if kind < 5:
+            t = _random_bound(rng)
+            return Less(x, t) if kind < 3 else Less(t, x)
+        name, arity = rng.choice(atoms)
+        return Atom(name, tuple(Var(rng.choice("xyz")) for _ in range(arity)))
+
+    def sub():
+        return _random_order_formula(rng, depth - 1, atoms)
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Not(sub())
+    if kind < 4:
+        return rng.choice((And, Or))(sub(), sub())
+    body = sub()
+    for var in rng.sample("xyz", rng.randint(1, 2)):
+        body = Exists(var, body)
+    return body
+
+
+def _satisfying_oracle(u, f, names, env, truth=eval_oracle.evaluate):
+    return frozenset(row for row in itertools.product(range(u.n), repeat=len(names))
+                     if truth(u, f, {**env, **dict(zip(names, row))}))
+
+
+@pytest.mark.parametrize("strings", [True, False])
+def test_order_generation_agrees_with_the_oracle(strings):
+    """`t<x`, `x<t` and `x<x`, t a variable, a literal or logn, inside `Ex.`
+    blocks, `satisfying` calls and fixed-point bodies, against the oracle,
+    which tests every binding in ascending order, errors included.  On an
+    unordered digraph every `<`, literal and logn raises where it is
+    reached."""
+    rng = random.Random(51 if strings else 52)
+    atoms = [("P1", 1), ("Y", 1)] if strings else [("E", 2), ("Y", 1)]
+    answered = 0
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        if strings:
+            u = from_text("".join(rng.choice("01") for _ in range(n)))
+        else:
+            u = digraph(n, _random_digraph(rng, n))
+        env = {v: rng.randrange(n) for v in "xyz" if rng.random() < 0.4}
+        env["Y"] = frozenset((rng.randrange(n),) for _ in range(rng.randint(0, 2)))
+        f = _random_order_formula(rng, rng.randint(1, 3), atoms)
+        block = Exists("x", Exists("y", f)) if rng.random() < 0.5 else Exists("z", f)
+        got = outcome(evaluate, u, block, env)
+        expected = outcome(eval_oracle.evaluate, u, block, env)
+        assert agrees(got, expected, lambda: outcome(eval_oracle.decided, u, block, env)), \
+            pretty(block)
+        names = tuple(rng.sample("xyz", rng.randint(1, 2)))
+        got = outcome(satisfying, u, f, names, env)
+        expected = outcome(_satisfying_oracle, u, f, names, env)
+        assert agrees(got, expected, lambda: outcome(
+            _satisfying_oracle, u, f, names, env, eval_oracle.decided)), pretty(f)
+        answered += type(got) is frozenset
+        args = (u, f, names[:1], "Y", env)  # the stage Y is unary, as the atoms read it
+        got = outcome(ifp_fixpoint, *args)
+        expected = outcome(eval_oracle.ifp_fixpoint, *args)
+        assert agrees(got, expected, lambda: outcome(eval_oracle.kleene_fixpoint, *args)), \
+            pretty(f)
+    assert answered > (150 if strings else 40)
+
+
 def test_log_quantifier_cannot_cover_larger_domain():
     # bound ceil_log(4) = 2 < 4, so no unary S covers all of [4]
     a = digraph(4, set())
@@ -525,9 +624,20 @@ def test_log_search_evaluates_the_body_at_most_as_often_as_enumeration(
     relation, a witnessed one at most once per relation no larger than
     the smallest witness.  The body is evaluated once per node of the
     search, and each node builds one `_Memo`."""
-    ev = importlib.import_module("logifp.evaluate")
     u, f = from_text(string), parse_formula(text)
     want, bound = type(f) is ExistsLog, log_pow(u.n, f.k)
+    calls = _body_evaluations(monkeypatch, u, f, answer)
+    size = bound
+    if answer == want:  # witnessed
+        size = next(len(rel) for rel in enumerate_bounded_relations(u.n, f.arity, bound)
+                    if prepare(f.body)(u, {f.relvar: rel}, {}) == want)
+    assert 0 < calls <= sum(math.comb(u.n ** f.arity, i) for i in range(size + 1))
+
+
+def _body_evaluations(monkeypatch, u, f, answer) -> int:
+    """The number of `_Memo`s, one per node of the search, that evaluating
+    the sentence `f` in `u` builds; the answer must be `answer`."""
+    ev = importlib.import_module("logifp.evaluate")
     calls = []
 
     class Counting(ev._Memo):
@@ -537,11 +647,28 @@ def test_log_search_evaluates_the_body_at_most_as_often_as_enumeration(
     monkeypatch.setattr(ev, "_Memo", Counting)
     assert evaluate(u, f) is answer
     monkeypatch.undo()
-    size = bound
-    if answer == want:  # witnessed
-        size = next(len(rel) for rel in enumerate_bounded_relations(u.n, f.arity, bound)
-                    if prepare(f.body)(u, {f.relvar: rel}, {}) == want)
-    assert 0 < len(calls) <= sum(math.comb(u.n ** f.arity, i) for i in range(size + 1))
+    return len(calls)
+
+
+@pytest.mark.parametrize("text", ["E2log[1] X:2 . Ex.(X(x,7) & P1(x))",
+                                  "E2log[1] X:2 . Ex.(X(x,x) & P1(x))"])
+def test_log_search_branches_only_on_the_tuples_a_scan_can_match(monkeypatch, text):
+    """A scan of X with a fixed or a repeated argument reads only the
+    tuples that can match it: on 00000001 the root reads the eight tuples
+    (i, 7), or (i, i), and the last of its eight children, {(7, 7)}, is
+    the witness.  Reading all 64 pairs would take 65 evaluations."""
+    u, f = from_text("00000001"), parse_formula(text)
+    assert eval_oracle.evaluate(u, f) is True
+    assert _body_evaluations(monkeypatch, u, f, True) == 9
+
+
+@pytest.mark.parametrize("text", ["E2log[1] X:2 . (Ex.(X(x,1) & P1(x)) | X(0,0))",
+                                  "E2log[1] X:2 . (Ex.(X(x,x) & P1(x)) | X(0,1))"])
+def test_log_search_reads_a_tuple_tested_after_a_scan(text):
+    # no P1 on 00: the witness is the one tuple the scan cannot match
+    u, f = from_text("00"), parse_formula(text)
+    assert eval_oracle.evaluate(u, f) is True
+    assert evaluate(u, f) is True
 
 
 def test_ifp_memo_under_the_log_search(monkeypatch):
