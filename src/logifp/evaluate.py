@@ -27,13 +27,13 @@ ascending order).  A universal block holds when that testing finds no
 counterexample.  An atomic formula over variables alone reads them in
 one step.
 
-`E2log`/`A2log` branch on the tuples the body reads (`_search`): the body
-is evaluated under a relation that is fixed on the tuples answered so far
-and empty elsewhere, and each tuple it asks about without an answer, or
-that a scan of it could match, splits the rest of the search.  Where
-that meets an `OutOfRange`, `UnboundVariable` or `OrderUsedUnordered`
-error, the relations are enumerated in `enumerate_bounded_relations`
-order instead.
+`E2log`/`A2log` branch on the tuples the body reads (`_search`): a node
+is the set of tuples its branch answered "in" and the set it answered
+"out", the body is evaluated under the relation that holds the first, and
+each tuple it asks about in neither set, or that a scan of it could
+match, splits the rest of the search.  Where that meets an `OutOfRange`,
+`UnboundVariable` or `OrderUsedUnordered` error, the relations are
+enumerated in `enumerate_bounded_relations` order instead.
 
 Each top-level call also creates one memo dict, passed down explicitly,
 that holds the fixed points computed so far, keyed by the printed form of
@@ -338,52 +338,41 @@ _BUILD = {Atom: _atom, Eq: _compare, Less: _compare, Bit: _compare, Not: _not, A
 
 class _Partial:
     """A node of `_search`: the relation that holds `members` and no other
-    tuple.  A membership test records each tuple of its arity that neither
-    the node nor an ancestor answered in `reads`, in the order first asked;
-    a scan reads the tuples with its fixed values and repeated entries, and
-    those not asked before follow in order when the children are built.
-    `index` maps each tuple recorded to its place in `reads`, or to -1
-    where an ancestor answered it "out".  Child `cut` of `parent` answers
-    the parent's reads before place `cut` "out" and the one at it "in"."""
+    tuple, on a branch that answered the tuples of `out` "out".  A
+    membership test records each tuple of its arity that it answers
+    neither way in `reads`, in the order first asked; a scan reads the
+    tuples with its fixed values and repeated entries, and those not asked
+    before follow in order when the children are built.  Child `cut`
+    answers the reads before place `cut` "out" and the one at it "in"."""
 
-    __slots__ = ("members", "parent", "cut", "n", "arity", "reads", "index", "scans")
+    __slots__ = ("members", "out", "n", "arity", "reads", "scans")
 
-    def __init__(self, members: frozenset, parent, cut: int, n: int, arity: int):
-        self.members, self.parent, self.cut, self.n, self.arity = members, parent, cut, n, arity
-        self.reads, self.index, self.scans = [], {}, set()
+    def __init__(self, members: frozenset, out: frozenset, n: int, arity: int):
+        self.members, self.out, self.n, self.arity = members, out, n, arity
+        self.reads, self.scans = {}, set()
 
     def __contains__(self, t) -> bool:
         if t in self.members:
             return True
-        if t not in self.index and len(t) == self.arity:
-            self._ask(t)
+        if t not in self.out and len(t) == self.arity:
+            self.reads[t] = None
         return False
 
     def scan(self, values: tuple, repeated: tuple) -> Iterator[tuple]:
         self.scans.add((values, repeated))
         return iter(self.members)
 
-    def _ask(self, t: tuple) -> None:
-        # the nearest ancestor that indexed t decides: this branch answered
-        # it "out" there if it came before the cut the branch took
-        node, place = self, None
-        while place is None and node.parent is not None:
-            place, cut, node = node.parent.index.get(t), node.cut, node.parent
-        if place is not None and place < cut:
-            self.index[t] = -1
-        else:
-            self.index[t] = len(self.reads)
-            self.reads.append(t)
-
     def children(self) -> Iterator[_Partial]:
         if self.scans:
             for t in itertools.product(range(self.n), repeat=self.arity):
-                if t not in self.members and t not in self.index and any(
+                if t not in self.members and t not in self.out and any(
                         all(t[i] == v for i, v in fixed) and all(t[i] == t[j] for i, j in repeated)
                         for fixed, repeated in self.scans):
-                    self._ask(t)
-        for cut, t in enumerate(self.reads):
-            yield _Partial(self.members | {t}, self, cut, self.n, self.arity)
+                    self.reads[t] = None
+        out = self.out
+        for t in self.reads:
+            yield _Partial(self.members | {t}, out, self.n, self.arity)
+            out = out | {t}
 
 
 class _Memo(dict):
@@ -397,12 +386,12 @@ class _Memo(dict):
         self.outer, self.rel = outer, rel
 
     def get(self, key):
-        if type(key) is tuple and self.rel in key:
+        if self.rel in key:
             return dict.get(self, key)
         return self.outer.get(key)
 
     def __setitem__(self, key, value):
-        if type(key) is tuple and self.rel in key:
+        if self.rel in key:
             dict.__setitem__(self, key, value)
         else:
             self.outer[key] = value
@@ -418,9 +407,10 @@ def _search(a: Structure, run: Callable, relvar: str, arity: int, bound: int, en
     the node on the tuples it read, and the children of a node with fewer
     members than the bound split the other relations among them.  Nodes
     are visited fewest members first, children in read order, and a level
-    is built only when it is reached.
+    is built only when it is reached.  No node refers to another, so a
+    node stays alive only until the level of its children is visited.
     """
-    level = [_Partial(frozenset(), None, 0, a.n, arity)]
+    level = [_Partial(frozenset(), frozenset(), a.n, arity)]
     while True:
         parents = []
         for node in level:
@@ -513,6 +503,9 @@ def _scan(a: Structure, f: Atom, get: list, env: dict, slot: dict, fixed: list,
     checked = values or repeated
     slot = list(slot.items())
     rel = _relation(a, f.name, env)
+    # a relation of another arity, seen on its first tuple, has no row to bind
+    if (rel.arity if type(rel) is _Partial else len(next(iter(rel), get))) != len(get):
+        return
     for row in rel.scan(values, tuple(repeated)) if type(rel) is _Partial else rel:
         if checked and not (all(row[i] == v for i, v in values)
                             and all(row[i] == row[j] for i, j in repeated)):

@@ -12,9 +12,15 @@
   argument order, at the first binding that reaches them.
 * `kleene` and `kleene_fixpoint`: three-valued truth, for the inputs where
   the evaluator answers and the order above meets an error first.
+* `Partial`: the node of the log search as it stood before each node held
+  the tuples its branch answered "out": a node keeps its parent and finds
+  those answers by walking its ancestors.
 """
 
+from __future__ import annotations
+
 import itertools
+from typing import Iterator
 
 from logifp.core import Structure, ceil_log, log_pow
 from logifp.encode import j_encode
@@ -362,3 +368,53 @@ def agrees(got, expected, settle) -> bool:
     if expected not in LAZY:
         return False
     return got in LAZY or got == settle()
+
+
+class Partial:
+    """A node of `evaluate._search`: the relation that holds `members` and no other
+    tuple.  A membership test records each tuple of its arity that neither
+    the node nor an ancestor answered in `reads`, in the order first asked;
+    a scan reads the tuples with its fixed values and repeated entries, and
+    those not asked before follow in order when the children are built.
+    `index` maps each tuple recorded to its place in `reads`, or to -1
+    where an ancestor answered it "out".  Child `cut` of `parent` answers
+    the parent's reads before place `cut` "out" and the one at it "in"."""
+
+    __slots__ = ("members", "parent", "cut", "n", "arity", "reads", "index", "scans")
+
+    def __init__(self, members: frozenset, parent, cut: int, n: int, arity: int):
+        self.members, self.parent, self.cut, self.n, self.arity = members, parent, cut, n, arity
+        self.reads, self.index, self.scans = [], {}, set()
+
+    def __contains__(self, t) -> bool:
+        if t in self.members:
+            return True
+        if t not in self.index and len(t) == self.arity:
+            self._ask(t)
+        return False
+
+    def scan(self, values: tuple, repeated: tuple) -> Iterator[tuple]:
+        self.scans.add((values, repeated))
+        return iter(self.members)
+
+    def _ask(self, t: tuple) -> None:
+        # the nearest ancestor that indexed t decides: this branch answered
+        # it "out" there if it came before the cut the branch took
+        node, place = self, None
+        while place is None and node.parent is not None:
+            place, cut, node = node.parent.index.get(t), node.cut, node.parent
+        if place is not None and place < cut:
+            self.index[t] = -1
+        else:
+            self.index[t] = len(self.reads)
+            self.reads.append(t)
+
+    def children(self) -> Iterator[Partial]:
+        if self.scans:
+            for t in itertools.product(range(self.n), repeat=self.arity):
+                if t not in self.members and t not in self.index and any(
+                        all(t[i] == v for i, v in fixed) and all(t[i] == t[j] for i, j in repeated)
+                        for fixed, repeated in self.scans):
+                    self._ask(t)
+        for cut, t in enumerate(self.reads):
+            yield Partial(self.members | {t}, self, cut, self.n, self.arity)

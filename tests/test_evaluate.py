@@ -634,20 +634,92 @@ def test_log_search_evaluates_the_body_at_most_as_often_as_enumeration(
     assert 0 < calls <= sum(math.comb(u.n ** f.arity, i) for i in range(size + 1))
 
 
+@pytest.mark.parametrize("string,count", [("1011", 137), ("10110", 2626)])
+def test_log_search_evaluates_a_body_that_never_holds_once_per_bounded_relation(
+        monkeypatch, string, count):
+    """The body asks for a tuple of X whose first entry is in P0 and forbids
+    every such tuple, so it holds for no relation, and the search meets
+    each bounded relation exactly once: 1 + 16 + 120 of them on 1011,
+    1 + 25 + 300 + 2300 on 10110."""
+    u = from_text(string)
+    f = parse_formula("E2log[1] X:2 . (Ax.Ay.(X(x,y) -> P1(x)) & Ex.Ey.(X(x,y) & P0(x)))")
+    relations = sum(1 for _ in enumerate_bounded_relations(u.n, 2, log_pow(u.n, 1)))
+    assert _body_evaluations(monkeypatch, u, f, False) == relations == count
+
+
 def _body_evaluations(monkeypatch, u, f, answer) -> int:
     """The number of `_Memo`s, one per node of the search, that evaluating
     the sentence `f` in `u` builds; the answer must be `answer`."""
-    ev = importlib.import_module("logifp.evaluate")
-    calls = []
+    got, nodes = _searched(monkeypatch, u, f)
+    assert got is answer
+    return len(nodes)
 
-    class Counting(ev._Memo):
+
+def _searched(monkeypatch, u, f, env=None, node=None):
+    """The outcome of `f` in `u` under `env`, and the nodes of the log
+    search, one per `_Memo`, in the order their bodies were evaluated;
+    `node`, where given, is the class of the nodes."""
+    ev = importlib.import_module("logifp.evaluate")
+    nodes = []
+
+    class Logging(ev._Memo):
         def __init__(self, outer, rel):
-            calls.append(1)
+            nodes.append(rel)
             super().__init__(outer, rel)
-    monkeypatch.setattr(ev, "_Memo", Counting)
-    assert evaluate(u, f) is answer
-    monkeypatch.undo()
-    return len(calls)
+    with monkeypatch.context() as patch:
+        patch.setattr(ev, "_Memo", Logging)
+        if node is not None:
+            patch.setattr(ev, "_Partial", node)
+        return outcome(evaluate, u, f, env), nodes
+
+
+class _ReferenceNode(eval_oracle.Partial):
+    """`eval_oracle.Partial`, whose root `_search` builds from the
+    arguments (members, out, n, arity)."""
+
+    __slots__ = ()
+
+    def __init__(self, members, parent, cut, n, arity=None):
+        if arity is None:  # the root
+            parent, cut, n, arity = None, 0, cut, n
+        super().__init__(members, parent, cut, n, arity)
+
+
+@pytest.mark.parametrize("strings", [True, False])
+def test_log_search_visits_the_nodes_of_the_reference(monkeypatch, strings):
+    """The search built from (in, out) sets evaluates the same nodes, in
+    the same order, each reading the same tuples in the same order, as the
+    reference whose nodes walk their ancestors, and ends in the same answer
+    or error.  The random sentences scan X with fixed and repeated
+    arguments, test its tuples, nest a second log quantifier and read X in
+    a fixed point."""
+    monkeypatch.setattr(eval_oracle, "Partial", _ReferenceNode)
+    rng = random.Random(41 if strings else 42)
+    base = ("P1", 1) if strings else ("E", 2)
+    searched = 0
+    for _ in range(500):
+        arity = rng.randint(1, 2)
+        rels = {"X": arity}
+        # a scan of X that binds x, its other argument x again, y or a literal
+        other = (Var("x"), Var("y")) + ((Lit(rng.randrange(3)),) if strings else ())
+        args = (Var("x"), *[rng.choice(other) for _ in range(arity - 1)])
+        scan = Exists("x", And(Atom("X", args), _random_log_formula(rng, 1, base, rels)))
+        body = _random_log_formula(rng, rng.randint(1, 3), base, rels)
+        f = rng.choice((ExistsLog, ForallLog))(
+            1, "X", arity, rng.choice((And, Or, Implies))(*rng.sample((scan, body), 2)))
+        n = rng.randint(1, 6 if arity == 1 else 4)
+        if strings:
+            u = from_text("".join(rng.choice("01") for _ in range(n)))
+        else:
+            u = digraph(n, {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 4))})
+        env = {v: rng.randrange(n) for v in "xyz" if rng.random() < 0.9}
+        logs = []
+        for node in (None, _ReferenceNode):
+            got, nodes = _searched(monkeypatch, u, f, env, node)
+            logs.append((got, [(sorted(rel.members), list(rel.reads)) for rel in nodes]))
+        assert logs[0] == logs[1], pretty(f)
+        searched += len(logs[0][1]) > 1
+    assert searched > 150
 
 
 @pytest.mark.parametrize("text", ["E2log[1] X:2 . Ex.(X(x,7) & P1(x))",
@@ -669,6 +741,19 @@ def test_log_search_reads_a_tuple_tested_after_a_scan(text):
     u, f = from_text("00"), parse_formula(text)
     assert eval_oracle.evaluate(u, f) is True
     assert evaluate(u, f) is True
+
+
+@pytest.mark.parametrize("text,string", [("E2log[1] X:2 . Ex. X(x)", "00"),
+                                         ("Ex.Ey. P1(x,y)", "01"),
+                                         ("Ex. ifp[Y(a,b) <- a<b | Y(a)](x,x)", "0110")])
+def test_scan_of_a_relation_of_another_arity_binds_nothing(monkeypatch, text, string):
+    """An unvalidated atom whose argument count is not its relation's arity
+    holds for no tuple, whether the relation is log-quantified, the
+    structure's or a fixed-point stage; a log search that scans it reads
+    nothing and evaluates its body once."""
+    u, f = from_text(string), parse_formula(text)
+    assert eval_oracle.evaluate(u, f) is False
+    assert _body_evaluations(monkeypatch, u, f, False) == (1 if type(f) is ExistsLog else 0)
 
 
 def test_ifp_memo_under_the_log_search(monkeypatch):
