@@ -13,13 +13,16 @@ Grammar (ASCII):
 
 Element variables are lowercase identifiers, relation names and relation
 variables are uppercase identifiers.  "Ex" lexes as the quantifier E over
-variable x when followed by "."; "E(x,y)" stays an atom.  Every traversal
-is a table of handlers on `fold`, so none is limited by Python's recursion limit.
+variable x when followed by "."; "E(x,y)" stays an atom.  The parser reads the
+token texts of one `findall`; `_tokenize` computes positions only for an error.
+Every traversal is a table of handlers on `fold`, so none is limited by Python's
+recursion limit.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from operator import attrgetter
@@ -323,12 +326,13 @@ def pretty(f: Formula) -> str:
 
 # --- lexer ---
 
-_TOKEN_RE = re.compile(
-    r"(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<op>->|<-|[()\[\].,=<:!&|#])|(?P<bad>\S)"
-)
+_IDENT, _INT, _OP = r"[A-Za-z][A-Za-z0-9_]*", r"\d+", r"->|<-|[()\[\].,=<:!&|#]"
+_TOKEN_RE = re.compile(rf"(?P<ident>{_IDENT})|(?P<int>{_INT})|(?P<op>{_OP})|(?P<bad>\S)")
+_TEXT_RE = re.compile(f"{_IDENT}|{_INT}|{_OP}")
 
 
 def _tokenize(text: str):
+    """The (kind, text, position) tokens, then eof: the parser's positions on error."""
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         if m.lastgroup == "bad":
@@ -347,55 +351,60 @@ _CONNECTIVES = {"->": (1, Implies), "|": (2, Or), "&": (3, And)}
 
 
 class _Parser:
+    """Reads the token texts of one findall, padded with "" so that looking
+    ahead needs no bound check.  A token's first character gives its kind: an
+    ASCII letter starts an identifier, a digit an integer.  Positions come from
+    `_tokenize`, and only when an error is raised."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
+        tokens = _TEXT_RE.findall(text)
+        if len("".join(tokens)) != len("".join(text.split())):
+            _tokenize(text)  # raises at the character that starts no token
+        self.text, self.tokens, self.i = text, tokens + ["", ""], 0
 
-    def peek(self, ahead=0):
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
-
-    def next(self):
-        # only called after a peek that matched a token other than eof
-        self.i += 1
-        return self.tokens[self.i - 1]
+    def fail(self, expected, found=None, at=None):
+        at = self.i if at is None else at
+        raise FormulaSyntaxError(_tokenize(self.text)[at][2], expected,
+                                 found or self.tokens[at] or "end of input")
 
     def expect(self, value):
-        kind, val, pos = self.peek()
-        if val != value:
-            raise FormulaSyntaxError(pos, repr(value), val or "end of input")
-        return self.next()
-
-    def fail(self, expected):
-        kind, val, pos = self.peek()
-        raise FormulaSyntaxError(pos, expected, val or "end of input")
+        if self.tokens[self.i] != value:
+            self.fail(repr(value))
+        self.i += 1
 
     def formula(self):
         """The formula up to the first token that cannot continue it, parsed
         with a stack of operands and a stack of pending operators (operator
         precedence, Pratt 1973), so nesting costs no Python frames.  A pending
         operator is (precedence, node class, fields before the body or None
-        for a connective, position)."""
-        operands, pending = [], []
+        for a connective, token index)."""
+        tokens, operands, pending = self.tokens, [], []
         while True:
             # operand position: stack prefixes and open brackets up to an atom
             while True:
-                kind, val, pos = self.peek()
-                if val == "!":
-                    self.next()
-                    pending.append((4, Not, (), pos))
-                elif val == "(":
-                    self.next()
-                    pending.append((-1, None, None, pos))
+                i = self.i
+                val = tokens[i]
+                if val == "(":
+                    self.i = i + 1
+                    pending.append((-1, None, None, i))
+                elif val == "!":
+                    self.i = i + 1
+                    pending.append((4, Not, (), i))
+                elif tokens[i + 1] == "." and (m := _QUANT_RE.match(val)):
+                    self.i = i + 2
+                    pending.append((0, Exists if m[1] == "E" else Forall, (m[2],), i))
+                elif val in ("E", "A") and tokens[i + 2] == "." and tokens[i + 1][:1].islower():
+                    self.i = i + 3
+                    pending.append((0, Exists if val == "E" else Forall, (tokens[i + 1],), i))
                 elif val == "ifp":
-                    self.next()
+                    self.i = i + 1
                     self.expect("[")
                     relvar = self.relvar()
                     vars_ = self.listed(self.var_name)
                     self.expect("<-")
-                    pending.append((-1, Ifp, (vars_, relvar), pos))
-                elif val in ("E2log", "A2log") and self.peek(1)[1] == "[":
-                    self.next()
-                    self.expect("[")
+                    pending.append((-1, Ifp, (vars_, relvar), i))
+                elif val in ("E2log", "A2log") and tokens[i + 1] == "[":
+                    self.i = i + 2
                     k = self.integer("an integer exponent")
                     self.expect("]")
                     relvar = self.relvar()
@@ -403,22 +412,14 @@ class _Parser:
                     arity = self.integer("an arity")
                     self.expect(".")
                     cls = ExistsLog if val == "E2log" else ForallLog
-                    pending.append((0, cls, (k, relvar, arity), pos))
-                elif (m := _QUANT_RE.match(val)) and self.peek(1)[1] == ".":
-                    self.i += 2
-                    pending.append((0, Exists if m[1] == "E" else Forall, (m[2],), pos))
-                elif val in ("E", "A") and self.peek(1)[0] == "ident" \
-                        and self.peek(1)[1][0].islower() and self.peek(2)[1] == ".":
-                    pending.append((0, Exists if val == "E" else Forall, (self.peek(1)[1],), pos))
-                    self.i += 3
+                    pending.append((0, cls, (k, relvar, arity), i))
                 else:
                     break
             operands.append(self.atom())
             # operator position: reduce what binds at least as tightly as the next
             # connective (more tightly for "->"; all but brackets before a closer)
             while True:
-                kind, val, pos = self.peek()
-                prec, cls = _CONNECTIVES.get(val, (0, None))
+                prec, cls = _CONNECTIVES.get(tokens[self.i], (0, None))
                 while pending and pending[-1][0] >= prec + (cls is Implies):
                     _, node, fields, at = pending.pop()
                     body = operands.pop()
@@ -429,13 +430,13 @@ class _Parser:
                         # checked once the body has parsed, so its errors come first
                         k, _, arity = fields
                         if k < 1:
-                            raise FormulaSyntaxError(at, "exponent k >= 1", str(k))
+                            self.fail("exponent k >= 1", str(k), at)
                         if arity < 1:
-                            raise FormulaSyntaxError(at, "arity >= 1", str(arity))
+                            self.fail("arity >= 1", str(arity), at)
                     operands.append(node(*fields, body))
                 if cls is not None:
-                    self.next()
-                    pending.append((prec, cls, None, pos))
+                    pending.append((prec, cls, None, self.i))
+                    self.i += 1
                     break
                 if not pending:
                     return operands.pop()
@@ -450,62 +451,66 @@ class _Parser:
         """A parenthesised, comma-separated, non-empty list of `item`s."""
         self.expect("(")
         items = [item()]
-        while self.peek()[1] == ",":
-            self.next()
+        while self.tokens[self.i] == ",":
+            self.i += 1
             items.append(item())
         self.expect(")")
         return tuple(items)
 
     def integer(self, expected):
-        if self.peek()[0] != "int":
+        val = self.tokens[self.i]
+        if not val[:1].isdigit():
             self.fail(expected)
-        return int(self.next()[1])
+        try:
+            value = int(val)
+        except ValueError:  # longer than the int-string limit
+            self.fail(f"at most {sys.get_int_max_str_digits()} digits", f"{len(val)} digits")
+        self.i += 1
+        return value
 
     def relvar(self):
-        kind, val, pos = self.peek()
-        if kind != "ident" or not val[0].isupper():
+        val = self.tokens[self.i]
+        if not val[:1].isupper():
             self.fail("a relation variable")
-        return self.next()[1]
+        self.i += 1
+        return val
 
     def var_name(self):
-        kind, val, pos = self.peek()
-        if kind != "ident" or not val[0].islower() or val == "logn":
+        val = self.tokens[self.i]
+        if not val[:1].islower() or val == "logn":
             self.fail("an element variable")
-        return self.next()[1]
+        self.i += 1
+        return val
 
     def term(self):
-        kind, val, pos = self.peek()
-        if kind == "int":
-            self.next()
-            return Lit(int(val))
-        if kind == "ident" and val == "logn":
-            self.next()
-            return LogN()
-        if kind == "ident" and val[0].islower():
-            self.next()
-            return Var(val)
-        self.fail("a term")
+        val = self.tokens[self.i]
+        if val[:1].isdigit():
+            return Lit(self.integer("a term"))
+        if not val[:1].islower():
+            self.fail("a term")
+        self.i += 1
+        return LogN() if val == "logn" else Var(val)
 
     def atom(self):
-        kind, val, pos = self.peek()
-        if kind == "ident" and val == "BIT":
-            self.next()
+        val = self.tokens[self.i]
+        if val == "BIT":
+            self.i += 1
             self.expect("(")
             value = self.term()
             self.expect(",")
             index = self.term()
             self.expect(")")
             return Bit(value, index)
-        if kind == "ident" and val[0].isupper():
-            self.next()
+        if val[:1].isupper():
+            self.i += 1
             return Atom(val, self.listed(self.term))
         left = self.term()
-        op = self.peek()[1]
+        op = self.tokens[self.i]
         if op == "=":
-            self.next()
+            self.i += 1
             return Eq(left, self.term())
         if op == "<":
-            self.next()
+            self.i += 1
             return Less(left, self.term())
         self.fail("'=' or '<'")
 
@@ -513,9 +518,8 @@ class _Parser:
 def parse_formula(text: str) -> Formula:
     p = _Parser(text)
     f = p.formula()
-    kind, val, pos = p.peek()
-    if kind != "eof":
-        raise FormulaSyntaxError(pos, "end of input", val)
+    if p.tokens[p.i]:
+        p.fail("end of input")
     return f
 
 

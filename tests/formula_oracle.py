@@ -7,8 +7,10 @@ interp.transform_formula, as they stood before logifp.formula.fold.  Kept
 as a differential oracle for tests/test_formula.py and
 tests/test_interp.py; metrics returns the fields of
 logifp.formula.Metrics as a plain tuple in declaration order.  The
-parser reads the tokens of logifp.formula._tokenize, so that it and
-logifp.formula.parse_formula differ only in the parser."""
+parser reads the tokens of logifp.formula._tokenize, with their kinds and
+positions.  logifp.formula.parse_formula reads only the token texts of one
+findall and calls _tokenize only to raise an error, so comparing the two
+parsers also checks that reading and its positions."""
 
 import re
 

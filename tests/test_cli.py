@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -153,6 +154,18 @@ def test_input_error_exit_code(files, capsys):
     assert code == 2
     code, _ = run(["jencode", "--n", "8", "--tuples", "(0,9)"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("text,position", [
+    ("x=" + "1" * 5000, 2),
+    ("E2log[" + "1" * 5000 + "] X:1 . Ex.X(x)", 6),
+], ids=["literal", "exponent"])
+def test_integer_past_the_int_string_limit_exit_code(tmp_path, capsys, text, position):
+    path = tmp_path / "long.txt"
+    path.write_text(text)
+    assert run(["check", "--formula-file", str(path)], capsys) == (
+        2, f"error: FormulaSyntaxError: at position {position}: expected at most "
+           f"{sys.get_int_max_str_digits()} digits, found '5000 digits'\n")
 
 
 @pytest.mark.parametrize("argv,doc,kind", [

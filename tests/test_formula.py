@@ -1,6 +1,7 @@
 """Parser, printer, validation and metrics."""
 
 import random
+import sys
 from dataclasses import astuple
 
 import pytest
@@ -40,7 +41,7 @@ from logifp.errors import (
     OrderUsedUnordered,
     UnknownRelation,
 )
-from logifp.interp import _collect_names
+from logifp.interp import _collect_names, build_J_reduction, transform_formula
 
 import formula_oracle
 
@@ -109,6 +110,18 @@ def test_terms():
     assert Eq(Var("x"), Lit(0)) == f.left.left
     assert Less(Var("y"), LogN()) == f.left.right
     assert Bit(Var("y"), Var("x")) == f.right
+
+
+@pytest.mark.parametrize("text,position", [
+    ("x=" + "1" * 5000, 2),
+    ("E2log[" + "1" * 5000 + "] X:1 . Ex.X(x)", 6),
+    ("E2log[1] X:" + "1" * 5000 + " . Ex.X(x)", 11),
+], ids=["literal", "exponent", "arity"])
+def test_integers_past_the_int_string_limit_are_syntax_errors(text, position):
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse_formula(text)
+    assert (exc.value.position, exc.value.expected, exc.value.found) \
+        == (position, f"at most {sys.get_int_max_str_digits()} digits", "5000 digits")
 
 
 def test_syntax_errors_carry_position():
@@ -348,12 +361,67 @@ def test_parser_agrees_with_recursive_descent_oracle():
     assert parsed > 8000  # both outcomes are compared often
 
 
-def test_tokenize_agrees_with_position_loop_lexer():
+# "\u00b2" is a digit to str.isdigit but not to \d, "\u0663" is a non-ASCII \d, and
+# "\x1c" and "\u00a0" are whitespace to both str.split and \s
+_LEXER_ALPHABET = "Ex yA09_()[].,=<:!&|#-> \t\n@$%~\u00e9\u00b2\u0663\x1c\u00a0"
+
+
+def _lexer_texts():
     rng = random.Random(7)
-    alphabet = "Ex yA09_()[].,=<:!&|#-> \t\n@$%~\u00e9"
-    for _ in range(2000):
-        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+    return ["".join(rng.choice(_LEXER_ALPHABET) for _ in range(rng.randint(0, 12)))
+            for _ in range(2000)]
+
+
+def test_tokenize_agrees_with_position_loop_lexer():
+    for text in _lexer_texts():
         assert _outcome(_tokenize, text) == _outcome(formula_oracle._tokenize, text), text
+
+
+def test_bad_character_check_agrees_with_position_loop_lexer():
+    # parse_formula reads the texts of one findall and finds a character that
+    # starts no token by comparing lengths; the oracle parser reads _tokenize
+    for text in _lexer_texts():
+        assert _outcome(parse_formula, text) == _outcome(formula_oracle.parse_formula, text), text
+
+
+def _literal(rng, p, q):
+    atom = rng.choice([f"{rng.choice(STR_SIG.names)}({p})", f"{p}<{q}", f"{p}={q}"])
+    return "!" * (rng.random() < 0.3) + atom
+
+
+def _benchmark_shaped_sentence(rng):
+    """An IFP under two element quantifiers, or three element quantifiers over
+    three literals, as the `formulas` benchmark draws them."""
+    q, op = (lambda: rng.choice("AE")), (lambda: rng.choice(("&", "|", "->")))
+    if rng.random() < 0.5:
+        step = f"Ec.({_literal(rng, 'a', 'c')} & Y(c,b))"
+        return (f"{q()}x.{q()}y.(ifp[Y(a,b) <- {_literal(rng, 'a', 'b')} | {step}](x,y)"
+                f" {op()} {_literal(rng, 'x', 'y')})")
+    l1, l2, l3 = (_literal(rng, rng.choice("xyz"), rng.choice("xyz")) for _ in range(3))
+    return f"{q()}x.{q()}y.{q()}z.({l1} {op()} ({l2} {op()} {l3}))"
+
+
+def test_errors_in_long_translations_agree_with_oracle():
+    # 1-2 token deletions, insertions or replacements in printed J-translations of
+    # about 1,500 characters: positions, computed only for an error, stay exact far
+    # into the text
+    rng = random.Random(22)
+    red = build_J_reduction(1)
+    positions, parsed = [], 0
+    for _ in range(200):
+        text = pretty(transform_formula(parse_formula(_benchmark_shaped_sentence(rng)), red))
+        assert len(text) > 1000
+        for last in [False] * rng.randint(0, 1) + [True]:
+            _, val, pos = rng.choice(_tokenize(text)[:-1])
+            edit = rng.randrange(3)  # delete, insert before, replace
+            new = " " if edit == 0 else f" {rng.choice(_PARSER_TOKENS + ['@', '-'] * last)} "
+            text = text[:pos] + new + text[pos + len(val) * (edit != 1):]
+        got = _outcome(parse_formula, text)
+        assert got == _outcome(formula_oracle.parse_formula, text), text
+        if type(got) is tuple:
+            positions.append(got[1])
+        parsed += type(got) is not tuple
+    assert parsed > 5 and len(positions) > 150 and max(positions) > 1000
 
 
 def test_walk_yields_binding_context_in_pre_order():
