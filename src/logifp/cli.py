@@ -135,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--s", type=int, required=True)
-    sp.add_argument("--budget", type=int, default=10_000_000)
+    sp.add_argument("--budget", type=int, default=10_000_000,
+                    help="solver nodes; the fresh-strategy check's challenges count apart")
 
     sp = sub.add_parser("gc-run", help="guess-then-check with a formula checker")
     sp.add_argument("--string", required=True)
@@ -278,7 +279,7 @@ def _dispatch(args, out: _Output) -> int:
         out.emit("winner", winner)
         out.emit("nodes", transcript["nodes"])
         out.emit("fresh_strategy_verified",
-                 game.verify_fresh_strategy(a, b, params))
+                 game.verify_fresh_strategy(a, b, params, args.budget))
         return 0
 
     if cmd == "gc-run":

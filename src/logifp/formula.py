@@ -391,11 +391,12 @@ class _Parser:
                     self.i = i + 1
                     pending.append((4, Not, (), i))
                 elif tokens[i + 1] == "." and (m := _QUANT_RE.match(val)):
-                    self.i = i + 2
+                    self.i = i + 2 if m[2] != "logn" else self.fail("an element variable", m[2])
                     pending.append((0, Exists if m[1] == "E" else Forall, (m[2],), i))
                 elif val in ("E", "A") and tokens[i + 2] == "." and tokens[i + 1][:1].islower():
-                    self.i = i + 3
-                    pending.append((0, Exists if val == "E" else Forall, (tokens[i + 1],), i))
+                    self.i = i + 1
+                    pending.append((0, Exists if val == "E" else Forall, (self.var_name(),), i))
+                    self.i += 1
                 elif val == "ifp":
                     self.i = i + 1
                     self.expect("[")

@@ -336,19 +336,36 @@ def even_instance(params: GameParams) -> tuple[int, int]:
         n += 2
 
 
-def verify_fresh_strategy(a: Structure, b: Structure, params: GameParams) -> bool:
-    """Exhaustively check the fresh-element duplicator strategy on a pair
-    of edgeless structures: newly mentioned elements map to fresh ones, the
-    reply relation is the image under that map, and the pebble phase pairs
-    mentioned with mentioned and fresh with fresh.
+def _canonical(q: frozenset, fwd: dict, back: dict) -> frozenset:
+    """The representative of position q's orbit under the permutations of the
+    elements outside fwd (on A) and back (on B).  q is a partial injection: its
+    pairs are sorted by their mentioned coordinates, unmentioned ones last, and
+    each side's unmentioned ones are relabelled in turn to its least such elements."""
+    free_a = itertools.filterfalse(fwd.__contains__, itertools.count())
+    free_b = itertools.filterfalse(back.__contains__, itertools.count())
+    last = float("inf")
+    order = sorted(q, key=lambda c: (c[0] if c[0] in fwd else last,
+                                     c[1] if c[1] in back else last))
+    return frozenset((x if x in fwd else next(free_a), y if y in back else next(free_b))
+                     for x, y in order)
 
-    The spoiler plays the game solver's moves, one or more relations per
-    orbit of the permutations of its side's unmentioned elements.  Such a
-    permutation maps the game after a relation, and the strategy's answers,
-    to those after its image, up to which unmentioned, unpebbled elements
-    the strategy takes as fresh; any two such choices differ by an
-    automorphism fixing the book and the position.  So a whole orbit passes
-    or fails alike."""
+
+def verify_fresh_strategy(a: Structure, b: Structure, params: GameParams,
+                          budget: int = 10_000_000) -> bool:
+    """Check the fresh-element duplicator strategy on a pair of edgeless
+    structures, in at most `budget` challenges: newly mentioned elements
+    map to fresh ones, the reply relation is the image under that map, and
+    the pebble phase pairs mentioned with mentioned and fresh with fresh.
+
+    The spoiler plays the solver's moves, one or more relations per orbit
+    of the permutations of its side's unmentioned elements, then one
+    position per orbit of those of both sides (_canonical), challenged on
+    every pebbled and mentioned element and on one other per side.  Such a
+    permutation maps the game after a relation, a position and a challenge
+    to those after their images, the strategy's answers included, up to
+    which unmentioned, unpebbled elements it takes as fresh or challenges;
+    any two such choices differ by an automorphism fixing the book and the
+    position.  So a whole orbit passes or fails alike."""
     p = params
     if any(a.rels.values()) or any(b.rels.values()):
         raise HypothesisViolated("structures must be edgeless")
@@ -356,37 +373,39 @@ def verify_fresh_strategy(a: Structure, b: Structure, params: GameParams) -> boo
         raise HypothesisViolated("strategy is for unordered structures")
     if not ((p.m + 1) * p.r * p.s * ceil_log(a.n) ** p.k < a.n
             and ceil_log(a.n) == ceil_log(b.n)):
-        raise HypothesisViolated(
-            f"need (m+1)*r*s*ceil_log({a.n})**k < {a.n} and equal ceil_log"
-        )
+        raise HypothesisViolated(f"need (m+1)*r*s*ceil_log({a.n})**k < {a.n} and equal ceil_log")
+    challenges = itertools.count(1)
 
     # A side of the game is (n_here, book, n_other, flip): its size, the
     # map from its mentioned elements to their images on the other side,
     # the other side's size, and whether its pairs are written (other, here).
     def pebble_phase(table, sides) -> bool:
-        """Play every challenge from every reduced position (one with fewer
-        than s pairs) the strategy reaches: a pebbled element is answered by
-        its partner, a mentioned one by its image, and every other one by
-        the same fresh element, the least one of the other side that is
-        neither mentioned nor pebbled."""
-        seen = {frozenset()}
-        stack = [frozenset()]
+        """Play from each reduced position (fewer than s pairs) reached: a
+        pebbled element is answered by its partner, a mentioned one by its
+        image, and the least element that is neither by the least such one
+        of the other side."""
+        (_, fwd, _, _), (_, back, _, _) = sides
+        seen, stack = {frozenset()}, [frozenset()]
         while stack:
             q = stack.pop()
             for n_here, book, n_other, flip in sides:
                 partner = {y: x for x, y in q} if flip else dict(q)
                 taken = {*partner.values(), *book.values()}
                 fresh = next((y for y in range(n_other) if y not in taken), None)
-                for x in range(n_here):
-                    y = partner.get(x, book.get(x, fresh))
+                answers = {**book, **partner}
+                free = next((x for x in range(n_here) if x not in answers), None)
+                answers.update({} if free is None else {free: fresh})
+                for x, y in answers.items():
                     if y is None:
                         return False
+                    if next(challenges) > budget:
+                        raise ResourceLimit(f"fresh-strategy check: budget {budget} exceeded")
                     pair = (y, x) if flip else (x, y)
                     if not _extends(table, a.sig.ordered, q, *pair):
                         return False
                     nxt = q | {pair}
                     for r in [nxt] * (len(nxt) < p.s) + [nxt - {c} for c in nxt]:
-                        if r not in seen:
+                        if r not in seen and (r := _canonical(r, fwd, back)) not in seen:
                             seen.add(r)
                             stack.append(r)
         return True
@@ -445,12 +464,12 @@ def sample_sentence(sig, params: GameParams, rng: random.Random) -> Formula:
                 choices.append("relvar")
         kind = rng.choice(choices)
         if kind == "eq":
-            return Eq(*(_rv(rng, bound) for _ in range(2)))
+            return Eq(*(Var(rng.choice(bound)) for _ in range(2)))
         if kind == "relvar":
             name, arity, _, _ = rng.choice(relvars)
-            return Atom(name, tuple(_rv(rng, bound) for _ in range(arity)))
+            return Atom(name, tuple(Var(rng.choice(bound)) for _ in range(arity)))
         name, arity = rng.choice(sig.relations)
-        return Atom(name, tuple(_rv(rng, bound) for _ in range(arity)))
+        return Atom(name, tuple(Var(rng.choice(bound)) for _ in range(arity)))
 
     def matrix(bound: list, depth: int) -> Formula:
         if bound and (depth <= 0 or rng.random() < 0.3):
@@ -471,10 +490,6 @@ def sample_sentence(sig, params: GameParams, rng: random.Random) -> Formula:
     for name, arity, k, existential in reversed(relvars):
         f = (ExistsLog if existential else ForallLog)(k, name, arity, f)
     return f
-
-
-def _rv(rng, bound):
-    return Var(rng.choice(bound))
 
 
 @dataclass

@@ -370,6 +370,8 @@ class _Parser:
             return cls(k, relvar, arity, body)
         m = _QUANT_RE.match(val)
         if m and self.peek(1)[1] == ".":
+            if m.group(2) == "logn":
+                raise FormulaSyntaxError(pos, "an element variable", "logn")
             self.next()
             self.expect(".")
             body = self.formula()
@@ -377,7 +379,7 @@ class _Parser:
         if val in ("E", "A") and self.peek(1)[0] == "ident" and self.peek(1)[1][0].islower() \
                 and self.peek(2)[1] == ".":
             self.next()
-            var = self.next()[1]
+            var = self.var_name()
             self.expect(".")
             body = self.formula()
             return (Exists if val == "E" else Forall)(var, body)

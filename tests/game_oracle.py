@@ -15,6 +15,12 @@ test that both readings have the same winner uses it.
 Also holds game_winner, the relation-move game solved with the spoiler
 and the duplicator trying every bounded relation, as they did before
 relation moves were played one per orbit of the untouched elements.
+
+Also holds exhaustive_fresh_strategy, the fresh-element strategy check as
+it stood before its pebble phase took one position and one challenge per
+orbit of the permutations of unmentioned elements: every reduced position
+the strategy reaches, challenged on every element of both sides.  It
+calls game._extends through the module, so a test can record its answers.
 """
 
 import itertools
@@ -23,6 +29,7 @@ from typing import Optional
 from logifp.core import ceil_log, log_pow, mention_set
 from logifp.errors import HypothesisViolated, ShapeMismatch
 from logifp.evaluate import enumerate_bounded_relations
+from logifp import game
 from logifp.game import ExpandedStructure, Winner, _Solver
 
 
@@ -350,3 +357,71 @@ def game_winner(a, b, params, budget: int = 10_000_000):
     solver.transcript["nodes"] = solver.nodes
     solver.transcript["winner"] = winner.value
     return winner, solver.transcript
+
+
+def exhaustive_fresh_strategy(a, b, params) -> bool:
+    """game.verify_fresh_strategy with every reduced position and every
+    challenge played: a pebbled element is answered by its partner, a
+    mentioned one by its image, and every other one by the least element of
+    the other side that is neither mentioned nor pebbled."""
+    p = params
+    if not (_is_edgeless(a) and _is_edgeless(b)):
+        raise HypothesisViolated("structures must be edgeless")
+    if a.sig.ordered or b.sig.ordered:
+        raise HypothesisViolated("strategy is for unordered structures")
+    if not ((p.m + 1) * p.r * p.s * ceil_log(a.n) ** p.k < a.n
+            and ceil_log(a.n) == ceil_log(b.n)):
+        raise HypothesisViolated(
+            f"need (m+1)*r*s*ceil_log({a.n})**k < {a.n} and equal ceil_log"
+        )
+
+    # a side is (n_here, book, n_other, flip), as in game.verify_fresh_strategy
+    def pebble_phase(table, sides) -> bool:
+        seen = {frozenset()}
+        stack = [frozenset()]
+        while stack:
+            q = stack.pop()
+            for n_here, book, n_other, flip in sides:
+                partner = {y: x for x, y in q} if flip else dict(q)
+                taken = {*partner.values(), *book.values()}
+                fresh = next((y for y in range(n_other) if y not in taken), None)
+                for x in range(n_here):
+                    y = partner.get(x, book.get(x, fresh))
+                    if y is None:
+                        return False
+                    pair = (y, x) if flip else (x, y)
+                    if not game._extends(table, a.sig.ordered, q, *pair):
+                        return False
+                    nxt = q | {pair}
+                    for r in [nxt] * (len(nxt) < p.s) + [nxt - {c} for c in nxt]:
+                        if r not in seen:
+                            seen.add(r)
+                            stack.append(r)
+        return True
+
+    def relation_phase(extras_a, extras_b, fwd: dict, moves_left: int) -> bool:
+        sides = ((a.n, fwd, b.n, False), (b.n, {y: x for x, y in fwd.items()}, a.n, True))
+        if not pebble_phase(game._pairing(a, extras_a, b, extras_b), sides):
+            return False
+        if moves_left == 0:
+            return True
+        moves = _Solver(p).spoiler_moves(ExpandedStructure(a, extras_a),
+                                         ExpandedStructure(b, extras_b))
+        for side, arity, _, rel in moves:
+            _, mapped, n_other, flip = sides[side == "B"]
+            new = sorted(mention_set(rel).difference(mapped))
+            taken = set(mapped.values())
+            fresh = [y for y in range(n_other) if y not in taken][:len(new)]
+            if len(fresh) < len(new):
+                return False
+            book = {**mapped, **dict(zip(new, fresh))}
+            image = frozenset(tuple(book[c] for c in t) for t in rel)
+            moved = ((arity, rel),), ((arity, image),)
+            if flip:
+                book = {y: x for x, y in book.items()}
+                moved = moved[::-1]
+            if not relation_phase(extras_a + moved[0], extras_b + moved[1], book, moves_left - 1):
+                return False
+        return True
+
+    return relation_phase((), (), {}, p.m)

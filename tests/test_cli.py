@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logifp import cli
+from logifp import cli, game
 from logifp.core import Signature, Structure, save_structure
 
 ORDERED_DIGRAPH = Signature((("E", 2),), ordered=True)
@@ -262,6 +262,15 @@ CHECK_GOLDEN = [
     ("Y(x) & Y(x,y)", 2, [
         "error=ArityMismatch: relation variable Y used with arities 1 and 2",
     ]),
+    ("E logn . x=x", 2, [
+        "error=FormulaSyntaxError: at position 2: expected an element variable, found 'logn'",
+    ]),
+    ("Elogn. logn=0", 2, [
+        "error=FormulaSyntaxError: at position 0: expected an element variable, found 'logn'",
+    ]),
+    ("Alogn. x=x", 2, [
+        "error=FormulaSyntaxError: at position 0: expected an element variable, found 'logn'",
+    ]),
 ]
 
 
@@ -294,6 +303,11 @@ GAME_GOLDEN = [
     (["even-demo", "--m", "1", "--r", "1", "--k", "1", "--s", "2"],
      ["n_a: 22", "n_b: 23", "winner: Duplicator", "nodes: 3554",
       "fresh_strategy_verified: true"]),
+    # and at three pebbles, where the fresh check takes one position and one
+    # challenge per orbit of the permutations of unmentioned elements
+    (["even-demo", "--m", "1", "--r", "1", "--k", "1", "--s", "3"],
+     ["n_a: 38", "n_b: 39", "winner: Duplicator", "nodes: 11870",
+      "fresh_strategy_verified: true"]),
 ]
 
 
@@ -318,6 +332,19 @@ def test_resource_limit_exit_code(tmp_path, capsys):
     code, out = run(["game", "--a", pa, "--b", pb, "--m", "1", "--r", "1",
                      "--k", "1", "--s", "1", "--budget", "500"], capsys)
     assert code == 3 and "resource limit" in out
+
+
+def test_even_demo_budget_bounds_the_fresh_strategy_check(capsys, monkeypatch):
+    """--budget bounds the fresh-strategy check's challenges apart from the
+    solver's nodes: with the solver given its default budget, a budget of 10
+    stops the check, and the command exits 3 naming it."""
+    solve = game.game_winner
+    monkeypatch.setattr(game, "game_winner", lambda a, b, params, budget: solve(a, b, params))
+    code, out = run(["even-demo", "--m", "1", "--r", "1", "--k", "1", "--s", "1",
+                     "--budget", "10"], capsys)
+    assert code == 3
+    assert out == ("n_a: 10\nn_b: 11\nwinner: Duplicator\nnodes: 670\n"
+                   "error: resource limit: fresh-strategy check: budget 10 exceeded\n")
 
 
 def test_outputs_are_deterministic(files, capsys):

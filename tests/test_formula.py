@@ -153,6 +153,11 @@ def test_syntax_errors_carry_position():
         ("!Ex.", 4, "a term", "end of input"),
         ("Ex. x=x & Ey.", 13, "a term", "end of input"),
         ("Ex. x=x -> ", 11, "a term", "end of input"),
+        # an element quantifier cannot bind the built-in term logn
+        ("E logn . x=x", 2, "an element variable", "logn"),
+        ("Elogn. logn=0", 0, "an element variable", "logn"),
+        ("Alogn. x=x", 0, "an element variable", "logn"),
+        ("Ex. x=x & A logn . x=x", 12, "an element variable", "logn"),
     ]:
         with pytest.raises(FormulaSyntaxError) as exc:
             parse_formula(text)
@@ -314,7 +319,7 @@ def test_walk_based_functions_agree_with_recursive_oracle(sig):
 
 _PARSER_TOKENS = ["Ex", "Ay", "E", "A", "x", "y", "X", "Y", ".", "(", ")", "&", "|", "->",
                   "!", "=", "<", ",", "E2log", "A2log", "[", "]", ":", "0", "1", "2", "ifp",
-                  "<-", "BIT", "logn", "P", "#"]
+                  "<-", "BIT", "logn", "Elogn", "P", "#"]
 
 
 def _drop_parentheses(rng, tokens):

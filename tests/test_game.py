@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import game_oracle
 from game_oracle import game_winner_stop_early
-from logifp.core import Signature, Structure
+from logifp.core import Signature, Structure, mention_set
 from logifp.errors import HypothesisViolated, ResourceLimit, ShapeMismatch
 from logifp.evaluate import enumerate_bounded_relations, evaluate
 from logifp.formula import validate
@@ -19,6 +19,7 @@ from logifp.game import (
     ExpandedStructure,
     GameParams,
     Winner,
+    _canonical,
     _orbit_relations,
     equivalence_sampler,
     even_instance,
@@ -303,43 +304,137 @@ def test_partial_isomorphism_matches_oracle():
 @pytest.mark.parametrize("params,sizes", [
     ((0, 1, 1, 1), (6, 7)), ((0, 1, 1, 1), (7, 6)), ((0, 1, 1, 2), (7, 8)),
     ((1, 1, 1, 1), (10, 11)), ((1, 1, 1, 1), (11, 10)), ((0, 2, 1, 1), (7, 8)),
+    ((0, 1, 1, 3), (13, 14)),
 ])
 def test_fresh_strategy_matches_oracle(params, sizes):
     a, b = digraph(sizes[0]), digraph(sizes[1])
     p = GameParams(*params)
-    assert verify_fresh_strategy(a, b, p) is game_oracle.verify_fresh_strategy(a, b, p) is True
+    assert verify_fresh_strategy(a, b, p) is game_oracle.exhaustive_fresh_strategy(a, b, p) is True
+    if p.s < 3:  # the from-scratch oracle takes about 17 s at (0, 1, 1, 3)
+        assert game_oracle.verify_fresh_strategy(a, b, p) is True
 
 
-@pytest.mark.parametrize("params,sizes", [
-    ((0, 1, 1, 2), (7, 8)), ((1, 1, 1, 1), (10, 11)), ((1, 1, 1, 1), (11, 10)),
-])
-def test_fresh_strategy_answers_every_reached_position(params, sizes, monkeypatch):
-    """The strategy wins on every valid instance, so its verdict alone
-    cannot show a position left out.  Record every answered challenge
-    (its position and reply pair) instead: every pair lies in the two
-    domains, every position reached is challenged on every element of
-    both sides, and the reduced positions after each reply are reached."""
+def _record_answers(monkeypatch) -> list:
+    """Record (table, position, reply pair) for every extension check that
+    logifp.game or game_oracle.exhaustive_fresh_strategy makes."""
     module = importlib.import_module("logifp.game")
     answered = []
     original = module._extends
     monkeypatch.setattr(module, "_extends",
                         lambda table, ordered, q, x, y: answered.append((table, q, (x, y)))
                         or original(table, ordered, q, x, y))
-    n_a, n_b = sizes
+    return answered
+
+
+def _mentioned(table) -> tuple:
+    """The elements that a pebble phase's relations mention on A and on B;
+    on edgeless structures these are the elements the relation moves
+    mentioned."""
+    return tuple(mention_set(itertools.chain(*(row[side] for row in table))) for side in (1, 2))
+
+
+def _blank(pair, ma, mb) -> tuple:
+    return (pair[0] if pair[0] in ma else -1, pair[1] if pair[1] in mb else -1)
+
+
+def _orbit(q, ma, mb) -> tuple:
+    """The orbit of position q under the permutations of the elements
+    outside ma (on A) and outside mb (on B): q is a partial injection, so
+    the multiset of its pairs with unmentioned coordinates blanked fixes it."""
+    return tuple(sorted(_blank(c, ma, mb) for c in q))
+
+
+@pytest.mark.parametrize("params,sizes", [
+    ((0, 1, 1, 2), (7, 8)), ((1, 1, 1, 1), (10, 11)), ((1, 1, 1, 1), (11, 10)),
+    ((0, 1, 1, 3), (13, 14)), ((1, 1, 1, 2), (22, 23)),
+])
+def test_fresh_strategy_answers_every_reached_position(params, sizes, monkeypatch):
+    """The strategy wins on every valid instance, so its verdict alone
+    cannot show a position or a challenge left out.  Record every answered
+    challenge (phase table, position, reply pair) of the exhaustive oracle
+    and of the check instead.  Every reply lies in the two domains, and in
+    each phase the check answers, from canonical positions only, exactly
+    the orbits of (position, reply) under the permutations of unmentioned
+    elements that the oracle answers.  Which pebbled pair, if any, a reply
+    repeats is part of its orbit, so a challenge kind left out shows."""
+    answered = _record_answers(monkeypatch)
+    a, b = digraph(sizes[0]), digraph(sizes[1])
     p = GameParams(*params)
-    assert verify_fresh_strategy(digraph(n_a), digraph(n_b), p)
-    phases = {}  # the tables are kept alive in `answered`, so their ids differ
-    for table, q, pair in answered:
-        assert 0 <= pair[0] < n_a and 0 <= pair[1] < n_b
-        phases.setdefault(id(table), []).append((q, pair))
-    for replies in phases.values():
-        challenged = collections.Counter(q for q, _ in replies)
-        assert frozenset() in challenged
-        assert set(challenged.values()) == {n_a + n_b}
-        for q, pair in replies:
-            nxt = q | {pair}
-            assert all(r in challenged for r in [nxt] * (len(nxt) < p.s)
-                       + [nxt - {c} for c in nxt])
+    phases = []
+    for check in (game_oracle.exhaustive_fresh_strategy, verify_fresh_strategy):
+        answered.clear()
+        assert check(a, b, p)
+        orbits: dict = {}
+        for table, q, pair in answered:
+            assert 0 <= pair[0] < sizes[0] and 0 <= pair[1] < sizes[1]
+            ma, mb = _mentioned(table)
+            orbits.setdefault(table, set()).add((_orbit(q, ma, mb), _blank(pair, ma, mb),
+                                                 pair in q))
+        phases.append(orbits)
+    assert phases[0] == phases[1]
+    for table, q, _ in answered:
+        assert _canonical(q, *_mentioned(table)) == q
+
+
+def test_canonical_position_is_one_per_orbit():
+    """Positions related by a permutation of either side's unmentioned
+    elements get the same form, and the form lies in the position's orbit,
+    so positions in different orbits get different forms."""
+    rng = random.Random(23)
+    n_a, n_b = 7, 8
+    for _ in range(300):
+        ma = set(rng.sample(range(n_a), rng.randint(0, 4)))
+        mb = set(rng.sample(range(n_b), rng.randint(0, 4)))
+        free_a = [x for x in range(n_a) if x not in ma]
+        free_b = [y for y in range(n_b) if y not in mb]
+        forms: dict = {}
+        for _ in range(30):
+            size = rng.randint(0, 4)
+            q = frozenset(zip(rng.sample(range(n_a), size), rng.sample(range(n_b), size)))
+            form = _canonical(q, ma, mb)
+            assert _orbit(form, ma, mb) == _orbit(q, ma, mb)
+            assert len({x for x, _ in form}) == len({y for _, y in form}) == size
+            assert all(0 <= x < n_a and 0 <= y < n_b for x, y in form)
+            assert forms.setdefault(_orbit(q, ma, mb), form) == form
+            perm_a = dict(zip(free_a, rng.sample(free_a, len(free_a))))
+            perm_b = dict(zip(free_b, rng.sample(free_b, len(free_b))))
+            image = frozenset((perm_a.get(x, x), perm_b.get(y, y)) for x, y in q)
+            assert _canonical(image, ma, mb) == form
+        assert len(set(forms.values())) == len(forms)
+
+
+@pytest.mark.parametrize("kind", ["pebbled", "mentioned", "free"])
+def test_fresh_strategy_fails_where_the_oracle_fails(kind, monkeypatch):
+    """Let the extension check reject, from a nonempty position, every reply
+    of one kind: a pebbled element's partner, a mentioned element's image,
+    or a pair of unmentioned, unpebbled elements.  The rule depends only on
+    orbits, so the check must fail as the exhaustive oracle does; one that
+    leaves that kind of challenge out would pass."""
+    module = importlib.import_module("logifp.game")
+    original = module._extends
+
+    def rejecting(table, ordered, q, x, y):
+        ma, mb = _mentioned(table)
+        pebbled = (x, y) in q
+        kinds = {"pebbled": pebbled, "mentioned": not pebbled and x in ma and y in mb,
+                 "free": not pebbled and x not in ma and y not in mb}
+        return not (q and kinds[kind]) and original(table, ordered, q, x, y)
+
+    monkeypatch.setattr(module, "_extends", rejecting)
+    a, b, p = digraph(22), digraph(23), GameParams(1, 1, 1, 2)
+    assert verify_fresh_strategy(a, b, p) is game_oracle.exhaustive_fresh_strategy(a, b, p) is False
+
+
+def test_fresh_strategy_budget(monkeypatch):
+    """The check counts its challenges apart from the solver's nodes and
+    raises ResourceLimit, naming itself, past its budget."""
+    answered = _record_answers(monkeypatch)
+    a, b, p = digraph(22), digraph(23), GameParams(1, 1, 1, 2)
+    assert verify_fresh_strategy(a, b, p, budget=10_000)
+    used = len(answered)
+    assert verify_fresh_strategy(a, b, p, budget=used)
+    with pytest.raises(ResourceLimit, match=f"fresh-strategy check: budget {used - 1} exceeded"):
+        verify_fresh_strategy(a, b, p, budget=used - 1)
 
 
 # --- relation moves one per orbit of the untouched elements ---
