@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -111,12 +112,12 @@ class Structure:
                 if len(t) != arity:
                     raise ArityMismatch(f"{name} expects arity {arity}, got tuple {_shown(t)}")
                 for comp in t:
-                    if not (0 <= comp < n):
+                    if not (isinstance(comp, int) and 0 <= comp < n):
                         raise OutOfRange(f"component {_shown(comp)} of {name}{_shown(t)} "
                                          f"not in [0,{_shown(n)})")
             interp[name] = tuples
         for name in rels:
-            if not sig.has(name):
+            if name not in interp:
                 raise SignatureMismatch(f"relation {name} not in signature")
         self.sig = sig
         self.n = n
@@ -216,23 +217,28 @@ def signature_from_json(doc: dict, key: str) -> Signature:
                      bool(doc.get("ordered", False)))
 
 
-def structure_from_json(doc: dict) -> Structure:
+@contextmanager
+def malformed(kind: str):
+    """A missing key, a wrong type or a number out of range in a `kind` document, as ParseError."""
     try:
+        yield
+    except (KeyError, ValueError, TypeError, AttributeError, OverflowError) as exc:
+        raise ParseError(f"malformed {kind} document: {type(exc).__name__}: {exc}") from exc
+
+
+def structure_from_json(doc: dict) -> Structure:
+    with malformed("structure"):
         sig = signature_from_json(doc, "signature")
         rels = {name: [tuple(t) for t in ts] for name, ts in doc.get("relations", {}).items()}
         return Structure(sig, int(doc["n"]), rels)
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
-        raise ParseError(f"malformed structure document: {type(exc).__name__}: {exc}") from exc
 
 
 def read_json(path: str, kind: str):
     """The JSON document in the file at `path`, a `kind` document."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    try:
+    with malformed(kind):
         return json.loads(text)
-    except ValueError as exc:  # also an integer past Python's int-to-string limit
-        raise ParseError(f"malformed {kind} document: {type(exc).__name__}: {exc}") from exc
 
 
 def load_structure(path: str) -> Structure:

@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import Optional
 
-from .core import STR_SIG, Signature, Structure, ceil_log, read_json, signature_from_json
+from .core import (STR_SIG, Signature, Structure, ceil_log, malformed, read_json,
+                   signature_from_json)
 from .errors import (
     ArityOverflow,
     EmptyUniverse,
     LogQuantifierUnsupported,
     NotLinearOrder,
-    ParseError,
     SignatureMismatch,
     UnsupportedTerm,
 )
@@ -364,7 +364,7 @@ def interpretation_to_json(i: Interpretation) -> dict:
 
 
 def interpretation_from_json(doc: dict) -> Interpretation:
-    try:
+    with malformed("interpretation"):
         return Interpretation(
             width=int(doc["width"]),
             source=signature_from_json(doc["source"], "relations"),
@@ -373,10 +373,6 @@ def interpretation_from_json(doc: dict) -> Interpretation:
             rels={name: parse_formula(text) for name, text in doc["rels"].items()},
             less=parse_formula(doc["less"]) if "less" in doc else None,
         )
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
-        raise ParseError(
-            f"malformed interpretation document: {type(exc).__name__}: {exc}"
-        ) from exc
 
 
 def load_interpretation(path: str) -> Interpretation:

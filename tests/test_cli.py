@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logifp import cli, game
-from logifp.core import Signature, Structure, save_structure
+from logifp import cli, core, encode, game
+from logifp.core import STR_SIG, Signature, Structure, save_structure
 
 ORDERED_DIGRAPH = Signature((("E", 2),), ordered=True)
 DIGRAPH = Signature((("E", 2),), ordered=False)
@@ -72,6 +72,15 @@ def test_check_reports_metrics(files, capsys):
     assert lines["prenex_existential"] == "true"
 
 
+def test_check_takes_the_signature_of_a_structure(files, capsys):
+    # E is the structure's relation; P0, a string predicate, is free here
+    lines = ["formula=Ey. (E(x,y) & P0(x))", "free_element_vars=x", "free_relation_vars=P0:1",
+             "mva=1", "height=0", "lqr=0", "prenex_existential=true"]
+    assert run(["--format", "machine", "check", "--structure", files["graph"],
+                "--formula", "Ey.E(x,y) & P0(x)"], capsys) == (
+        0, "".join(line + "\n" for line in lines))
+
+
 def test_encode_decode_round_trip(files, capsys):
     code, out = run(["--format", "machine", "encode",
                      "--structure", files["graph"]], capsys)
@@ -106,6 +115,21 @@ def test_build_jred_and_apply(files, tmp_path, capsys):
     code, out = run(["interp-transform", "--interp", str(interp_path),
                      "--formula", "Ex.PH(x)"], capsys)
     assert code == 0 and out.startswith("formula: ")
+
+
+def test_interp_apply_of_the_j_reduction(tmp_path, capsys):
+    # build-jred's interpretation sends (u, R1) to the string u#J(R1)
+    u, r1 = "01101", {(0, 1), (2, 4), (4, 3)}
+    source = Structure(STR_SIG.extended(("R1", 2)), len(u), {**core.from_text(u).rels, "R1": r1})
+    red, pair = tmp_path / "jred.json", tmp_path / "pair.json"
+    save_structure(source, str(pair))
+    code, doc = run(["build-jred", "--r", "1"], capsys)
+    assert code == 0
+    red.write_text(doc)
+    code, out = run(["interp-apply", "--interp", str(red), "--structure", str(pair)], capsys)
+    assert code == 0
+    image = core.structure_from_json(json.loads(out))
+    assert core.render(image) == u + "#" + encode.j_encode(len(u), frozenset(r1))
 
 
 def test_pebble_and_game(files, capsys):
@@ -174,12 +198,32 @@ def test_integer_past_the_int_string_limit_exit_code(tmp_path, capsys, text, pos
      "structure"),
     (["check", "--formula", "x=x", "--sig"], {"ordered": True}, "signature"),
     (["interp-transform", "--formula", "x=x", "--interp"], {"width": 1}, "interpretation"),
+    # numbers past float range (JSON 1e400) read back as inf, which int() cannot convert
+    (["eval", "--formula", "Ex. x=x", "--structure"],
+     {"signature": [["E", 2]], "n": float("inf")}, "structure"),
+    (["eval", "--formula", "Ex. x=x", "--structure"],
+     {"signature": [["E", float("inf")]], "n": 3}, "structure"),
+    (["check", "--formula", "x=x", "--sig"], {"signature": [["E", float("inf")]]}, "signature"),
+    (["interp-apply", "--structure", "unread.json", "--interp"], {"width": float("inf")},
+     "interpretation"),
 ])
 def test_malformed_document_exit_code(tmp_path, capsys, argv, doc, kind):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     code, out = run(argv + [str(path)], capsys)
     assert code == 2 and out.startswith(f"error: ParseError: malformed {kind} document")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--formula", "Ex.Ey.E(x,y)", "--structure"],
+    ["encode", "--structure"],
+])
+def test_non_integer_component_exit_code(tmp_path, capsys, argv):
+    path = tmp_path / "float.json"
+    path.write_text('{"signature": [["E", 2]], "n": 3, "relations": {"E": [[0, 1.5]]}, '
+                    '"ordered": true}')
+    assert run(argv + [str(path)], capsys) == (
+        2, "error: OutOfRange: component 1.5 of E(0, 1.5) not in [0,3)\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -292,6 +336,11 @@ GAME_GOLDEN = [
     (["game", "--a", "e2", "--b", "e3", "--m", "1", "--r", "1", "--k", "1", "--s", "1",
       "--sample", "10", "--seed", "3"],
      ["winner: Duplicator", "sampled: 10", "distinguishing: 0", "nodes: 35"]),
+    # at three pebbles Spoiler wins, and a sampled sentence tells 2 elements from 3
+    (["game", "--a", "e2", "--b", "e3", "--m", "0", "--r", "1", "--k", "1", "--s", "3",
+      "--sample", "20", "--seed", "26"],
+     ["winner: Spoiler", "sampled: 20", "distinguishing: 1",
+      "sentence: Ev1. Ev2. Av0. (v0=v2 | v0=v1)", "nodes: 6"]),
     # two relation moves: the transcript names the side of each deciding move
     (["game", "--a", "e2", "--b", "e3", "--m", "2", "--r", "1", "--k", "1", "--s", "1"],
      ["winner: Spoiler", "nodes: 216"]

@@ -92,6 +92,12 @@ def test_structure_validation():
         Structure(DIGRAPH, 2, {"E": {(0, 2)}})
     with pytest.raises(SignatureMismatch):
         Structure(DIGRAPH, 2, {"F": set()})
+    # a component must be an integer (bool, an int subclass, passes)
+    with pytest.raises(OutOfRange, match=r"component 1\.5 of E\(0, 1\.5\) not in \[0,3\)"):
+        Structure(DIGRAPH, 3, {"E": {(0, 1.5)}})
+    with pytest.raises(OutOfRange, match="component '1'"):
+        Structure(DIGRAPH, 3, {"E": {(0, "1")}})
+    assert Structure(DIGRAPH, 2, {"E": {(True, False)}}).rels["E"] == {(1, 0)}
 
 
 def test_messages_of_components_past_the_int_string_limit():
@@ -175,6 +181,12 @@ def test_json_round_trip(tmp_path):
     assert load_structure(str(path)) == a
     path.write_text('{"signature": [["E", 2]], "n": %s}' % ("1" * 5001))
     with pytest.raises(ParseError, match="malformed structure document: ValueError"):
+        load_structure(str(path))
+    path.write_text('{"signature": [["E", 2]], "n": 3, "relations": {"E": [[0, 1.5]]}}')
+    with pytest.raises(OutOfRange):
+        load_structure(str(path))
+    path.write_text('{"signature": [["E", 2]], "n": 1e400}')
+    with pytest.raises(ParseError, match="malformed structure document: OverflowError"):
         load_structure(str(path))
 
 
