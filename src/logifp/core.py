@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -145,18 +146,20 @@ class StringStructure(Structure):
 
     __slots__ = ("text",)
 
-    def __init__(self, text: str):
+    def __init__(self, text: str):  # sets the fields without Structure's check of each tuple
         text = text.translate(_BRACKET_TRANSLATION)
         if not text:
             raise EmptyString("the empty string has no structure")
-        rels: dict[str, set] = {p: set() for p in STR_SIG.names}
-        for i, ch in enumerate(text):
-            pred = CHAR_PREDICATES.get(ch)
-            if pred is None:
-                raise BadCharacter(f"character {ch!r} at position {i} not in {STRING_ALPHABET!r}")
-            rels[pred].add((i,))
-        super().__init__(STR_SIG, len(text), rels)
-        self.text = text
+        rels: dict[str, list] = {p: [] for p in STR_SIG.names}
+        try:
+            for i, ch in enumerate(text):
+                rels[CHAR_PREDICATES[ch]].append((i,))
+        except KeyError:
+            raise BadCharacter(
+                f"character {ch!r} at position {i} not in {STRING_ALPHABET!r}") from None
+        self.sig, self.n, self.text = STR_SIG, len(text), text
+        self.rels = {p: frozenset(ts) for p, ts in rels.items()}
+        self._key = (STR_SIG, self.n, tuple(self.rels.values()))
 
 
 def from_text(s: str) -> StringStructure:
@@ -213,7 +216,7 @@ def structure_to_json(a: Structure) -> dict:
 def signature_from_json(doc: dict, key: str) -> Signature:
     """The signature whose `[name, arity]` pairs are `doc[key]`, ordered if
     `doc` says so."""
-    return Signature(tuple((name, int(arity)) for name, arity in doc[key]),
+    return Signature(tuple((name, operator.index(arity)) for name, arity in doc[key]),
                      bool(doc.get("ordered", False)))
 
 
@@ -230,7 +233,7 @@ def structure_from_json(doc: dict) -> Structure:
     with malformed("structure"):
         sig = signature_from_json(doc, "signature")
         rels = {name: [tuple(t) for t in ts] for name, ts in doc.get("relations", {}).items()}
-        return Structure(sig, int(doc["n"]), rels)
+        return Structure(sig, operator.index(doc["n"]), rels)
 
 
 def read_json(path: str, kind: str):

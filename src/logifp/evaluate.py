@@ -16,16 +16,17 @@ element variables are lowercase and relation variables uppercase.  No
 function writes into an assignment it was handed or a solution it was
 given: an extension is always a new dict.
 
-A maximal prefix of `E` (or of `A`) element quantifiers is one block
-that binds its variables at once.  Existential blocks, fixed-point stages
-and interpretation universes are built from the satisfying assignments
-`_solve` generates: an atom scans its relation, `x = t` binds x, `x < t`
-and `t < x` bind x to the range below or above t, conjunctions thread
-solutions left to right, disjunctions chain them, and any other formula
-pads its unbound variables from the domain and is tested (`_tested`, in
-ascending order).  A universal block holds when that testing finds no
-counterexample.  An atomic formula over variables alone reads them in
-one step.
+A maximal prefix of `E` (or of `A`) element quantifiers is one block that
+binds its variables at once.  Existential blocks, fixed-point stages and
+interpretation universes are built from the satisfying assignments
+`_solve` generates.  A node whose free element variables are all bound is
+tested in place by its closure, any other by its kind's solver in
+`_SOLVE`: an atom scans its relation, `x = t` binds x, `x < t` and `t < x`
+bind x to the range below or above t, conjunctions thread solutions left
+to right, disjunctions chain them, an `E` block hides its variables, and
+any other formula pads its unbound variables from the domain and is tested
+(`_tested`, in ascending order).  A universal block holds when that
+testing finds no counterexample.
 
 `E2log`/`A2log` branch on the tuples the body reads (`_search`): a node
 is the set of tuples its branch answered "in" and the set it answered
@@ -35,12 +36,11 @@ match, splits the rest of the search.  Where that meets an `OutOfRange`,
 `UnboundVariable` or `OrderUsedUnordered` error, the relations are
 enumerated in `enumerate_bounded_relations` order instead.
 
-Each top-level call also creates one memo dict, passed down explicitly,
-that holds the fixed points computed so far, keyed by the printed form of
-the fixed point, taken once when the Ifp node is prepared (so equal nodes
-share their entries), and the values of the names its body reads from the
-assignment, so the memo lives as long as that call.  A fixed point keyed
-on a node of the search lives in that node's `_Memo` and dies with it.
+Each top-level call creates one memo, passed down explicitly, of the fixed
+points computed so far, keyed by the fixed point's printed form (taken once
+when it is prepared, so equal nodes share entries) and the values of the
+names its body reads from the assignment.  A fixed point keyed on a node of
+the search lives in that node's `_Memo` and dies with it.
 """
 
 from __future__ import annotations
@@ -118,24 +118,23 @@ def evaluate(a: Structure, f: Formula, env: Optional[dict] = None) -> bool:
 
 
 def _relation(a: Structure, name: str, env: dict):
-    rel = a.rels.get(name)
+    rel = a.rels.get(name, env.get(name))
     if rel is None:
-        rel = env.get(name)
-        if rel is None:
-            raise UnboundVariable(f"relation {name}")
+        raise UnboundVariable(f"relation {name}")
     return rel
 
 
 def prepare(f: Formula) -> Callable[[Structure, dict, dict], bool]:
-    """The closure `(a, env, memo) -> bool` of `f`.  It is built bottom-up by
-    `fold` on first use and kept on each node, outside its dataclass fields,
-    as `_ev`, beside `_parts` (the members of a maximal `&`/`|` chain, the
-    body under a maximal block of one kind of element quantifier, or an
-    atomic formula's term getters), `_bound` (the block's variables, each at
-    its last binding and in binding order, or a fixed point's), and `_elems`
-    and `_rels` (the element variables and relation names it reads free).
-    None of them refers back to the node, so a dropped formula is freed
-    without the cycle collector."""
+    """The closure `(a, env, memo) -> bool` of `f`, built bottom-up by `fold`
+    on first use and kept on each node, outside its dataclass fields, as
+    `_ev`, beside `_parts` (the members of a maximal `&`/`|` chain, the body
+    under a maximal block of one kind of element quantifier, or an atomic
+    formula's term getters), `_bound` (the block's variables, each at its
+    last binding and in binding order, or a fixed point's), and `_elems` and
+    `_rels` (the element variables and relation names it reads free).  None
+    refers back to the node, so a dropped formula is freed without the cycle
+    collector.  The solvers of `_SOLVE` take prepared nodes only, and test a
+    node in place by `_ev` once its `_elems` are bound."""
     ev = getattr(f, "_ev", None)
     return ev if ev is not None else fold(f, None, _PREPARE)[0]._ev
 
@@ -173,13 +172,16 @@ def _finish(data, done, push):
     t, kids = type(g), done[len(done) - count:]  # the prepared subformulas
     del done[len(done) - count:]
     parts = kids if t is And or t is Or or names else [_getter(x) for x in terms(g)]
-    bound = names or getattr(g, "vars", ())
-    rels = frozenset().union(*[k._rels for k in kids])
-    g.__dict__.update(
-        _parts=parts, _bound=bound,
-        _elems=frozenset().union(*[k._elems for k in kids]).difference(bound).union(
-            [x.name for x in terms(g) if type(x) is Var]),
-        _rels=rels.union((g.name,)) if t is Atom else rels.difference((getattr(g, "relvar", ""),)))
+    bound, own = names or getattr(g, "vars", ()), [x.name for x in terms(g) if type(x) is Var]
+    if not kids:  # an atomic formula
+        elems, rels = frozenset(own), frozenset((g.name,) if t is Atom else ())
+    elif count == 1:  # the body's names, less those the node binds
+        elems = kids[0]._elems.difference(bound).union(own) if bound else kids[0]._elems
+        rels = kids[0]._rels.difference((g.relvar,)) if hasattr(g, "relvar") else kids[0]._rels
+    else:
+        elems = frozenset().union(*[k._elems for k in kids])
+        rels = frozenset().union(*[k._rels for k in kids])
+    g.__dict__.update(_parts=parts, _bound=bound, _elems=elems, _rels=rels)
     g.__dict__["_ev"] = _BUILD[t](g, kids, parts)
     done.append(g)
 
@@ -219,8 +221,8 @@ def _names(g) -> Optional[tuple]:
     return names if names and len(names) == len(args) else None
 
 
-def _unbound(names: tuple, env: dict) -> UnboundVariable:
-    return UnboundVariable(next(name for name in names if name not in env))
+def _unbound(names: tuple, env: dict, rel: str = "") -> UnboundVariable:
+    return UnboundVariable(next((name for name in names if name not in env), f"relation {rel}"))
 
 
 def _atom(g, kids, get):
@@ -232,10 +234,10 @@ def _atom(g, kids, get):
     def ev(a, env, memo):  # every argument read in one step
         try:
             args = (read(env),) if one else read(env)
+            rel = a.rels[name] if name in a.rels else env[name]
         except KeyError:
-            raise _unbound(names, env) from None
-        # _relation for a relation variable or an empty relation
-        return args in (a.rels.get(name) or _relation(a, name, env))
+            raise _unbound(names, env, name) from None
+        return args in rel
     return ev
 
 
@@ -287,13 +289,11 @@ def _implies(g, kids, get):
 def _quantifier(g, kids, get):
     names, body, run = g._bound, kids[0], kids[0]._ev
     if type(g) is Forall:  # true when ascending testing finds no counterexample
-        def fails(a, env, memo):
-            return not run(a, env, memo)
-        return lambda a, env, memo: next(_tested(a, fails, env, names, memo), None) is None
+        return lambda a, env, memo: next(_tested(a, run, env, names, memo, (), False), None) is None
 
     def ev(a, env, memo):
         try:
-            return next(_solve(a, body, _without(env, names), names, memo), None) is not None
+            return next(_solutions(a, body, _without(env, names), names, memo), None) is not None
         except _LAZY_ERRORS:
             return next(_tested(a, run, env, names, memo), None) is not None
     return ev
@@ -438,77 +438,81 @@ def _solve(a: Structure, f: Formula, env: dict, want: tuple, memo: dict) -> Iter
     bound.  A name `f` does not constrain may stay unbound: `f` then holds
     for every value of it.
     """
-    ev = prepare(f)
-    if all(map(env.__contains__, want)):  # nothing left to bind: a test
-        return iter((env,) if ev(a, env, memo) else ())
-    t = type(f)
-    if t is Atom:
-        slot, fixed, repeated = {}, [], []
-        for i, x in enumerate(f.args):
-            if type(x) is not Var or x.name in env:
-                fixed.append(i)
-            elif x.name not in want:
-                break  # tested below, which raises UnboundVariable
-            elif x.name in slot:
-                repeated.append((i, slot[x.name]))
-            else:
-                slot[x.name] = i
-        else:
-            if slot:
-                return _scan(a, f, f._parts, env, slot, fixed, repeated)
-    elif t is Eq or t is Less:  # x = t binds x to t; x < t and t < x to a range
-        left, right = f._parts
-        for var, other, value, above in ((f.left, f.right, right, False),
-                                         (f.right, f.left, left, True)):
-            if (type(var) is Var and var.name in want and var.name not in env
-                    and not (type(other) is Var and other.name not in env)):
-                if t is Eq:
-                    return iter(({**env, var.name: value(a, env)},))
-                if not a.sig.ordered:
-                    raise OrderUsedUnordered("'<' on an unordered structure")
-                values = range(value(a, env) + 1, a.n) if above else range(value(a, env))
-                return ({**env, var.name: x} for x in values)
-    elif t is And:
-        return _join(a, f._parts, env, want, memo)
-    elif t is Or:
-        return itertools.chain.from_iterable(_solve(a, g, env, want, memo) for g in f._parts)
-    elif t is Exists:  # the body's solutions, the block's variables hidden from the caller
-        names = f._bound
-        kept = {name: env[name] for name in names if name in env}
-        return ({**_without(ext, names), **kept} for ext in _solve(
-            a, f._parts[0], _without(env, names), tuple(dict.fromkeys(want + names)), memo))
-    return _tested(a, ev, env, [name for name in want if name not in env and name in f._elems],
-                   memo)
+    prepare(f)
+    return _solutions(a, f, env, want, memo)
+
+
+def _solutions(a: Structure, g: Formula, env: dict, want: tuple, memo: dict) -> Iterator[dict]:
+    """`_solve` of the prepared node g, which the solvers call for the nodes under them."""
+    if env.keys() >= g._elems:  # every name g reads is bound: a test in place
+        return iter((env,) if g._ev(a, env, memo) else ())
+    return _SOLVE[type(g)](a, g, env, want, memo)
+
+
+def _solve_tested(a, g, env, want, memo):  # g's unbound wanted names padded from the domain
+    return _tested(a, g._ev, env, [x for x in want if x not in env and x in g._elems], memo)
+
+
+def _solve_compare(a, g, env, want, memo):  # x = t binds x to t; x < t and t < x to a range
+    left, right = g._parts
+    for var, other, value, above in ((g.left, g.right, right, False),
+                                     (g.right, g.left, left, True)):
+        if (type(var) is Var and var.name in want and var.name not in env
+                and not (type(other) is Var and other.name not in env)):
+            if type(g) is Eq:
+                return iter(({**env, var.name: value(a, env)},))
+            if not a.sig.ordered:
+                raise OrderUsedUnordered("'<' on an unordered structure")
+            values = range(value(a, env) + 1, a.n) if above else range(value(a, env))
+            return ({**env, var.name: x} for x in values)
+    return _solve_tested(a, g, env, want, memo)
+
+
+def _solve_or(a, g, env, want, memo):
+    return itertools.chain.from_iterable(_solutions(a, h, env, want, memo) for h in g._parts)
+
+
+def _solve_exists(a, g, env, want, memo):  # the body's solutions, the block's names hidden
+    names, kept = g._bound, {name: env[name] for name in g._bound if name in env}
+    return ({**_without(ext, names), **kept} for ext in _solutions(
+        a, g._parts[0], _without(env, names), tuple(dict.fromkeys(want + names)), memo))
 
 
 def _tested(a: Structure, ev: Callable, env: dict, names, memo: dict,
-            known=()) -> Iterator[dict]:
+            known=(), holds=True) -> Iterator[dict]:
     """The extensions of `env` that bind `names` to a combination of domain
-    elements, the last name fastest, under which the prepared `ev` holds,
-    skipping the combinations in `known`."""
+    elements, the last name fastest, under which the prepared `ev` is
+    `holds`, skipping the combinations in `known`."""
     ext = dict(env)
     for row in itertools.product(range(a.n), repeat=len(names)):
         ext.update(zip(names, row))
-        if row not in known and ev(a, ext, memo):
+        if row not in known and ev(a, ext, memo) is holds:
             yield dict(ext)
 
 
-def _scan(a: Structure, f: Atom, get: list, env: dict, slot: dict, fixed: list,
-          repeated: list) -> Iterator[dict]:
-    """Extend `env` by each name of `slot` bound to its argument position
-    in every tuple of the relation of `f` that agrees with the values of
-    the `fixed` arguments, read by their getters `get`, and repeats the
-    first position of a name at the `repeated` ones."""
+def _scan(a: Structure, g: Atom, env: dict, want: tuple, memo: dict) -> Iterator[dict]:
+    """Extend `env` by each unbound argument of g bound to its position in
+    every tuple of g's relation that agrees with the values of the bound
+    arguments and repeats the first position of a name at its later ones."""
+    get, slot, fixed, repeated = g._parts, {}, [], []
+    for i, x in enumerate(g.args):
+        if type(x) is not Var or x.name in env:
+            fixed.append(i)
+        elif x.name not in want:  # unbound wherever g is tested
+            raise UnboundVariable(x.name)
+        elif x.name in slot:
+            repeated.append((i, slot[x.name]))
+        else:
+            slot[x.name] = i
     values = tuple([(i, get[i](a, env)) for i in fixed])
-    checked = values or repeated
     slot = list(slot.items())
-    rel = _relation(a, f.name, env)
+    rel = _relation(a, g.name, env)
     # a relation of another arity, seen on its first tuple, has no row to bind
     if (rel.arity if type(rel) is _Partial else len(next(iter(rel), get))) != len(get):
         return
     for row in rel.scan(values, tuple(repeated)) if type(rel) is _Partial else rel:
-        if checked and not (all(row[i] == v for i, v in values)
-                            and all(row[i] == row[j] for i, j in repeated)):
+        if (values or repeated) and not (all(row[i] == v for i, v in values)
+                                         and all(row[i] == row[j] for i, j in repeated)):
             continue
         ext = dict(env)
         for name, i in slot:
@@ -516,17 +520,22 @@ def _scan(a: Structure, f: Atom, get: list, env: dict, slot: dict, fixed: list,
         yield ext
 
 
-def _join(a: Structure, parts: list, env: dict, want: tuple, memo: dict) -> Iterator[dict]:
+def _join(a: Structure, g: And, env: dict, want: tuple, memo: dict) -> Iterator[dict]:
     """Solutions of a conjunction: one iterator per conjunct, each started
     from a solution of the ones before, kept on a stack."""
-    stack = [_solve(a, parts[0], env, want, memo)]
+    parts, stack = g._parts, [_solutions(a, g._parts[0], env, want, memo)]
     while stack:
         if (ext := next(stack[-1], None)) is None:
             stack.pop()
         elif len(stack) == len(parts):
             yield ext
         else:
-            stack.append(_solve(a, parts[len(stack)], ext, want, memo))
+            stack.append(_solutions(a, parts[len(stack)], ext, want, memo))
+
+
+# The solver of each kind of prepared node that `_solutions` does not test in place.
+_SOLVE = {**dict.fromkeys(Formula.__args__, _solve_tested), Atom: _scan, Eq: _solve_compare,
+          Less: _solve_compare, And: _join, Or: _solve_or, Exists: _solve_exists}
 
 
 def satisfying(a: Structure, f: Formula, names: tuple, env: Optional[dict] = None,
@@ -545,7 +554,7 @@ def satisfying(a: Structure, f: Formula, names: tuple, env: Optional[dict] = Non
                 found.add(tuple(full[name] for name in names))
     except _LAZY_ERRORS:
         found = set(known)
-        for ext in _tested(a, prepare(f), env, list(names), memo, known):
+        for ext in _tested(a, f._ev, env, list(names), memo, known):
             found.add(tuple(ext[name] for name in names))
     return frozenset(found)
 

@@ -360,7 +360,7 @@ class _Parser:
         tokens = _TEXT_RE.findall(text)
         if len("".join(tokens)) != len("".join(text.split())):
             _tokenize(text)  # raises at the character that starts no token
-        self.text, self.tokens, self.i = text, tokens + ["", ""], 0
+        self.text, self.tokens, self.i, self.terms = text, tokens + ["", ""], 0, {}
 
     def fail(self, expected, found=None, at=None):
         at = self.i if at is None else at
@@ -483,14 +483,16 @@ class _Parser:
         self.i += 1
         return val
 
-    def term(self):
+    def term(self):  # one term object per token text
         val = self.tokens[self.i]
-        if val[:1].isdigit():
-            return Lit(self.integer("a term"))
-        if not val[:1].islower():
-            self.fail("a term")
+        if val not in self.terms:
+            if val[:1].isdigit():
+                return self.terms.setdefault(val, Lit(self.integer("a term")))
+            if not val[:1].islower():
+                self.fail("a term")
+            self.terms[val] = LogN() if val == "logn" else Var(val)
         self.i += 1
-        return LogN() if val == "logn" else Var(val)
+        return self.terms[val]
 
     def atom(self):
         val = self.tokens[self.i]

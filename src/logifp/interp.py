@@ -11,6 +11,7 @@ handler tables on `formula.fold`, so formulas of any depth translate.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Optional
@@ -25,7 +26,7 @@ from .errors import (
     SignatureMismatch,
     UnsupportedTerm,
 )
-from .evaluate import evaluate, satisfying
+from .evaluate import prepare, satisfying
 from .formula import (
     And,
     Atom,
@@ -111,32 +112,32 @@ def apply_interpretation(i: Interpretation, a: Structure) -> Structure:
     present, lexicographically otherwise), re-indexed from 0."""
     if a.sig != i.source:
         raise SignatureMismatch("structure is not over the interpretation's source signature")
-    w = i.width
-    universe = sorted(satisfying(a, i.uni, canon_vars(w)))
+    w, memo = i.width, {}
+    universe = sorted(satisfying(a, i.uni, canon_vars(w), None, memo))
     if not universe:
         raise EmptyUniverse("no tuple satisfies the universe formula")
     if i.less is not None:
-        names = canon_vars(2 * w)
-        less = {(t, u): evaluate(a, i.less, dict(zip(names, t + u)))
-                for t in universe for u in universe}
+        less = set(_holding(a, i.less, universe, 2, w, memo))
         # a strict linear order is the order of the number of tuples below
-        below = {t: sum(less[(u, t)] for u in universe) for t in universe}
-        universe.sort(key=below.__getitem__)
+        universe.sort(key={t: sum((u, t) in less for u in universe) for t in universe}.get)
         for (j, t), (k, u) in itertools.product(enumerate(universe), repeat=2):
-            if less[(t, u)] != (j < k):
+            if ((t, u) in less) != (j < k):
                 raise NotLinearOrder(f"order formula is not a strict linear order at {t}, {u}")
     index = {t: j for j, t in enumerate(universe)}
-    rels: dict[str, set] = {}
-    for name, arity in i.target.relations:
-        names = canon_vars(arity * w)
-        f = i.rels[name]
-        hits = set()
-        for combo in itertools.product(universe, repeat=arity):
-            flat = tuple(c for t in combo for c in t)
-            if evaluate(a, f, dict(zip(names, flat))):
-                hits.add(tuple(index[t] for t in combo))
-        rels[name] = hits
+    rels = {name: {tuple([index[t] for t in combo])
+                   for combo in _holding(a, i.rels[name], universe, arity, w, memo)}
+            for name, arity in i.target.relations}
     return Structure(i.target, len(universe), rels)
+
+
+def _holding(a: Structure, f: Formula, universe: list, arity: int, w: int, memo: dict):
+    """The `arity`-tuples of universe elements whose concatenation, as the values
+    of x1..x{arity*w}, satisfies `f`, tested by its closure under one assignment."""
+    ev, env, names = prepare(f), {}, canon_vars(arity * w)
+    for combo in itertools.product(universe, repeat=arity):
+        env.update(zip(names, itertools.chain.from_iterable(combo)))
+        if ev(a, env, memo):
+            yield combo
 
 
 class _Gensym:
@@ -366,7 +367,7 @@ def interpretation_to_json(i: Interpretation) -> dict:
 def interpretation_from_json(doc: dict) -> Interpretation:
     with malformed("interpretation"):
         return Interpretation(
-            width=int(doc["width"]),
+            width=operator.index(doc["width"]),
             source=signature_from_json(doc["source"], "relations"),
             target=signature_from_json(doc["target"], "relations"),
             uni=parse_formula(doc["uni"]),

@@ -198,13 +198,23 @@ def test_integer_past_the_int_string_limit_exit_code(tmp_path, capsys, text, pos
      "structure"),
     (["check", "--formula", "x=x", "--sig"], {"ordered": True}, "signature"),
     (["interp-transform", "--formula", "x=x", "--interp"], {"width": 1}, "interpretation"),
-    # numbers past float range (JSON 1e400) read back as inf, which int() cannot convert
+    # numbers past float range (JSON 1e400) read back as inf, a float, which is no integer
     (["eval", "--formula", "Ex. x=x", "--structure"],
      {"signature": [["E", 2]], "n": float("inf")}, "structure"),
     (["eval", "--formula", "Ex. x=x", "--structure"],
      {"signature": [["E", float("inf")]], "n": 3}, "structure"),
     (["check", "--formula", "x=x", "--sig"], {"signature": [["E", float("inf")]]}, "signature"),
     (["interp-apply", "--structure", "unread.json", "--interp"], {"width": float("inf")},
+     "interpretation"),
+    # a float arity, domain size or width is not truncated to an integer
+    (["eval", "--formula", "Ex.Ey.E(x,y)", "--structure"],
+     {"signature": [["E", 2.9]], "ordered": False, "n": 3.7, "relations": {"E": [[0, 2]]}},
+     "structure"),
+    (["eval", "--formula", "Ex.Ey.E(x,y)", "--structure"],
+     {"signature": [["E", 2]], "ordered": False, "n": 3.7, "relations": {"E": [[0, 2]]}},
+     "structure"),
+    (["check", "--formula", "x=x", "--sig"], {"signature": [["E", 2.9]]}, "signature"),
+    (["interp-apply", "--structure", "unread.json", "--interp"], {"width": 7.5},
      "interpretation"),
 ])
 def test_malformed_document_exit_code(tmp_path, capsys, argv, doc, kind):

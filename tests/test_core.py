@@ -2,6 +2,7 @@
 oldest Python the package declares."""
 
 import ast
+import random
 from pathlib import Path
 
 import pytest
@@ -138,8 +139,23 @@ def test_string_structure_accepts_unicode_brackets():
 def test_string_structure_rejects_bad_input():
     with pytest.raises(EmptyString):
         from_text("")
-    with pytest.raises(BadCharacter):
+    with pytest.raises(BadCharacter, match="character '2' at position 2 not in '01#\\[\\]'"):
         from_text("012")
+
+
+def test_string_structure_equals_the_checked_structure():
+    """A string structure, built without Structure's check of each tuple,
+    equals and hashes as the structure built through that check from the
+    same text."""
+    rng = random.Random(61)
+    predicates = dict(zip("01#[]", STR_SIG.names))
+    for _ in range(300):
+        text = "".join(rng.choice("01[]#") for _ in range(rng.randint(1, 12)))
+        rels = {p: [(i,) for i, ch in enumerate(text) if predicates[ch] == p] for p in STR_SIG.names}
+        checked = Structure(STR_SIG, len(text), rels)
+        u = from_text(text)
+        assert u == checked and checked == u and hash(u) == hash(checked), text
+        assert (u.sig, u.n, u.rels) == (checked.sig, checked.n, checked.rels), text
 
 
 def test_render_rejects_wrong_signature():
@@ -186,7 +202,7 @@ def test_json_round_trip(tmp_path):
     with pytest.raises(OutOfRange):
         load_structure(str(path))
     path.write_text('{"signature": [["E", 2]], "n": 1e400}')
-    with pytest.raises(ParseError, match="malformed structure document: OverflowError"):
+    with pytest.raises(ParseError, match="malformed structure document: TypeError"):
         load_structure(str(path))
 
 

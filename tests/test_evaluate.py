@@ -23,6 +23,7 @@ from logifp.errors import (
     UnsupportedShape,
 )
 from logifp.evaluate import (
+    _SOLVE,
     _j_fiber,
     _solve,
     enumerate_bounded_relations,
@@ -41,6 +42,7 @@ from logifp.formula import (
     ExistsLog,
     Forall,
     ForallLog,
+    Formula,
     Ifp,
     Implies,
     Less,
@@ -335,6 +337,36 @@ def test_solve_yields_the_satisfying_extensions(strings):
                 expected = outcome(eval_oracle.decided, u, f, full)
             if expected is True or expected is False:
                 assert ((x, y) in found) == expected, pretty(f)
+
+
+def test_every_kind_of_formula_has_a_solver():
+    assert set(Formula.__args__) <= set(_SOLVE)
+
+
+@pytest.mark.parametrize("text,env,want,expected", [
+    # every name the formula reads is bound: the assignment itself, once
+    ("x=x | P1(x)", {"x": 1}, ("x", "y"), [{"x": 1}]),
+    ("x=x | P1(x)", {"x": 0}, ("x", "y"), [{"x": 0}]),
+    ("P1(x) & x<y", {"x": 1, "y": 0}, ("x", "y"), []),
+    ("Ez.(z<x & P1(z))", {"x": 2}, ("x", "y"), [{"x": 2}]),
+    ("!P0(x) -> x=1", {"x": 2}, ("y",), []),
+    # one name unbound: solved by the formula's kind, never tested as it is
+    ("P1(x)", {}, ("x",), [{"x": 1}, {"x": 2}]),
+    ("x<y", {"y": 2}, ("x",), [{"x": 0, "y": 2}, {"x": 1, "y": 2}]),
+    ("x=x | P1(x)", {}, ("x",), [{"x": 0}, {"x": 1}, {"x": 2}, {"x": 1}, {"x": 2}]),
+    ("Ez.(z<x & P1(z))", {}, ("x",), [{"x": 2}]),
+    ("Ez.(x<z & P1(z))", {}, ("x",), [{"x": 0}, {"x": 0}, {"x": 1}]),  # one per witness z
+    ("!P0(x)", {"y": 0}, ("x",), [{"x": 1, "y": 0}, {"x": 2, "y": 0}]),
+])
+def test_solve_tests_in_place_exactly_where_every_name_is_bound(text, env, want, expected):
+    """A formula whose free element variables are all bound is tested in
+    place and yields the assignment itself; any other is solved through the
+    solver of its kind, one solution per way its kind finds one."""
+    u, f = from_text("011"), parse_formula(text)
+    solutions = list(_solve(u, f, env, want, {}))
+    assert solutions == expected
+    if expected and env.keys() >= {x for x in "xyz" if x in text}:
+        assert solutions[0] is env
 
 
 @pytest.mark.parametrize("text,env,expected", [

@@ -332,13 +332,17 @@ def test_j_reduction_on_one_letter_string():
 
 def test_j_reduction_tests_only_order_and_relations(monkeypatch):
     """The universe comes from the solutions of the universe formula: the
-    only evaluate calls left are the order test of each pair of universe
-    tuples and the test of each of the five string relations on each
-    tuple, not one per candidate of the 8**6."""
+    only tests left by prepared formulas are the order test of each pair of
+    universe tuples and the test of each of the five string relations on
+    each tuple, not one per candidate of the 8**6."""
     module = importlib.import_module("logifp.interp")
     calls = []
-    original = module.evaluate
-    monkeypatch.setattr(module, "evaluate", lambda *args: calls.append(1) or original(*args))
+    original = module.prepare
+
+    def counted(f):
+        ev = original(f)
+        return lambda *args: calls.append(1) or ev(*args)
+    monkeypatch.setattr(module, "prepare", counted)
     red = build_J_reduction(1)
     rel = {(1, 2), (3, 0), (7, 7)}
     b = apply_interpretation(red, _reduction_input(red, "01101001", [rel]))
