@@ -2,7 +2,8 @@
 
 Exit codes: 0 computed, 1 usage error, 2 input error, 3 resource limit.
 Output is a single result document, either human text (default) or
-line-oriented key=value pairs with --format machine.
+line-oriented key=value pairs with --format machine; exit codes 2 and 3
+write one `error` line in the same format on standard error.
 """
 
 from __future__ import annotations
@@ -238,16 +239,16 @@ def run_command(argv) -> int:
         return 0 if exc.code == 0 else 1
     sep = "=" if args.format == "machine" else ": "
 
-    def emit(key: str, value) -> None:
-        print(key, str(value).lower() if isinstance(value, bool) else value, sep=sep)
+    def emit(key: str, value, file=None) -> None:
+        print(key, str(value).lower() if isinstance(value, bool) else value, sep=sep, file=file)
 
     try:
         args.run(args, emit)
     except (ResourceLimit, RecursionError) as exc:
-        emit("error", f"resource limit: {exc}")
+        emit("error", f"resource limit: {exc}", sys.stderr)
         return 3
     except (LogifpError, OSError, UnicodeDecodeError) as exc:
-        emit("error", f"{type(exc).__name__}: {exc}")
+        emit("error", f"{type(exc).__name__}: {exc}", sys.stderr)
         return 2
     return 0
 

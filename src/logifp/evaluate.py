@@ -17,16 +17,18 @@ function writes into an assignment it was handed or a solution it was
 given: an extension is always a new dict.
 
 A maximal prefix of `E` (or of `A`) element quantifiers is one block that
-binds its variables at once.  Existential blocks, fixed-point stages and
-interpretation universes are built from the satisfying assignments
-`_solve` generates.  A node whose free element variables are all bound is
-tested in place by its closure, any other by its kind's solver in
-`_SOLVE`: an atom scans its relation, `x = t` binds x, `x < t` and `t < x`
-bind x to the range below or above t, conjunctions thread solutions left
-to right, disjunctions chain them, an `E` block hides its variables, and
-any other formula pads its unbound variables from the domain and is tested
-(`_tested`, in ascending order).  A universal block holds when that
-testing finds no counterexample.
+binds its variables at once.  Fixed-point stages and interpretation
+universes are built from the satisfying assignments `_solve` generates.
+A node whose free element variables are all bound is tested in place by
+its closure, any other by its kind's solver in `_SOLVE`: an atom scans its
+relation, `x = t` binds x, `x < t` and `t < x` bind x to the range below
+or above t, conjunctions thread solutions left to right, disjunctions
+chain them, an `E` block hides its variables and yields each binding of
+the others once, whatever its witnesses, and any other formula pads its
+unbound variables from the domain and is tested (`_tested`, in ascending
+order).  An existential block decides from its first witness in one loop
+over the conjuncts of its body (`_witnessed`), and a universal block holds
+when testing finds no counterexample.
 
 `E2log`/`A2log` branch on the tuples the body reads (`_search`): a node
 is the set of tuples its branch answered "in" and the set it answered
@@ -214,53 +216,63 @@ def _getter(t) -> Callable[[Structure, dict], int]:
     return constant
 
 
-def _names(g) -> Optional[tuple]:
-    """The names of g's arguments where every one is a variable, else None."""
-    args = terms(g)
-    names = tuple([x.name for x in args if type(x) is Var])
-    return names if names and len(names) == len(args) else None
-
-
-def _unbound(names: tuple, env: dict, rel: str = "") -> UnboundVariable:
-    return UnboundVariable(next((name for name in names if name not in env), f"relation {rel}"))
-
+# An atom over variables, and `=` or `<` between a variable and a variable
+# or literal, read the assignment directly; where a read fails or a literal
+# is out of range they defer to `read`, which raises the error met first.
 
 def _atom(g, kids, get):
-    name, names = g.name, _names(g)
-    if names is None:  # a literal or logn among the arguments
-        return lambda a, env, memo: tuple([v(a, env) for v in get]) in _relation(a, name, env)
-    read, one = operator.itemgetter(*names), len(names) == 1
+    name, names = g.name, tuple([x.name for x in g.args if type(x) is Var])
 
-    def ev(a, env, memo):  # every argument read in one step
+    def read(a, env, memo):  # each argument in turn, then the relation
+        return tuple([v(a, env) for v in get]) in _relation(a, name, env)
+    if not names or len(names) < len(g.args):  # a literal or logn among the arguments
+        return read
+    x, row = names[0] if len(names) == 1 else None, operator.itemgetter(*names)
+
+    def ev(a, env, memo):
         try:
-            args = (read(env),) if one else read(env)
-            rel = a.rels[name] if name in a.rels else env[name]
+            return ((env[x],) if x else row(env)) in (a.rels[name] if name in a.rels else env[name])
         except KeyError:
-            raise _unbound(names, env, name) from None
-        return args in rel
+            return read(a, env, memo)
     return ev
 
 
 def _compare(g, kids, get):
-    (left, right), t, names = get, type(g), _names(g)
+    (left, right), t = get, type(g)
     test = operator.eq if t is Eq else operator.lt if t is Less else lambda y, x: (y >> x) & 1 == 1
     what = None if t is Eq else "'<'" if t is Less else "BIT"
-    if names is None:
-        def ev(a, env, memo):
-            if what and not a.sig.ordered:
-                raise OrderUsedUnordered(f"{what} on an unordered structure")
-            return test(left(a, env), right(a, env))
-        return ev
-    read = operator.itemgetter(*names)
 
-    def ev(a, env, memo):  # both sides read in one step
+    def read(a, env, memo):  # the order first, then each term in turn
         if what and not a.sig.ordered:
             raise OrderUsedUnordered(f"{what} on an unordered structure")
+        return test(left(a, env), right(a, env))
+    (u, v), eq = terms(g), t is Eq
+    if t is Bit or {type(u), type(v)} not in ({Var}, {Var, Lit}):
+        return read
+    below = type(u) is Var  # x is the left term
+    x, y = (u.name, v) if below else (v.name, u)
+    y, c = getattr(y, "name", None), getattr(y, "value", None)
+
+    def equal(a, env, memo):  # x = y
         try:
-            return test(*read(env))
+            return env[x] == env[y]
         except KeyError:
-            raise _unbound(names, env) from None
-    return ev
+            return read(a, env, memo)
+
+    def less(a, env, memo):  # x < y
+        try:
+            return env[x] < env[y] if a.sig.ordered else read(a, env, memo)
+        except KeyError:
+            return read(a, env, memo)
+
+    def one(a, env, memo):  # x and the literal c, in range where the order is
+        try:
+            if a.sig.ordered and c < a.n:
+                return env[x] == c if eq else env[x] < c if below else c < env[x]
+        except KeyError:
+            pass
+        return read(a, env, memo)
+    return one if y is None else equal if eq else less
 
 
 def _not(g, kids, get):
@@ -272,6 +284,10 @@ def _not(g, kids, get):
 
 def _and_or(g, kids, get):
     evs, decided = [k._ev for k in kids], type(g) is Or
+    if len(evs) == 2:  # short-circuit without the member loop
+        p, q = evs
+        return ((lambda a, env, memo: p(a, env, memo) or q(a, env, memo)) if decided
+                else lambda a, env, memo: p(a, env, memo) and q(a, env, memo))
 
     def ev(a, env, memo):
         for member in evs:
@@ -290,10 +306,11 @@ def _quantifier(g, kids, get):
     names, body, run = g._bound, kids[0], kids[0]._ev
     if type(g) is Forall:  # true when ascending testing finds no counterexample
         return lambda a, env, memo: next(_tested(a, run, env, names, memo, (), False), None) is None
+    parts = body._parts if type(body) is And else (body,)  # the conjuncts `_witnessed` walks
 
     def ev(a, env, memo):
         try:
-            return next(_solutions(a, body, _without(env, names), names, memo), None) is not None
+            return _witnessed(a, parts, _without(env, names), names, memo)
         except _LAZY_ERRORS:
             return next(_tested(a, run, env, names, memo), None) is not None
     return ev
@@ -474,8 +491,12 @@ def _solve_or(a, g, env, want, memo):
 
 def _solve_exists(a, g, env, want, memo):  # the body's solutions, the block's names hidden
     names, kept = g._bound, {name: env[name] for name in g._bound if name in env}
-    return ({**_without(ext, names), **kept} for ext in _solutions(
-        a, g._parts[0], _without(env, names), tuple(dict.fromkeys(want + names)), memo))
+    free, seen = [x for x in want if x not in env and x not in names], set()
+    for ext in _solutions(a, g._parts[0], _without(env, names),
+                          tuple(dict.fromkeys(want + names)), memo):
+        if (key := tuple([ext.get(x, _MISSING) for x in free])) not in seen:  # once per binding
+            seen.add(key)
+            yield {**_without(ext, names), **kept}
 
 
 def _tested(a: Structure, ev: Callable, env: dict, names, memo: dict,
@@ -518,6 +539,26 @@ def _scan(a: Structure, g: Atom, env: dict, want: tuple, memo: dict) -> Iterator
         for name, i in slot:
             ext[name] = row[i]
         yield ext
+
+
+def _witnessed(a: Structure, parts, env: dict, want: tuple, memo: dict) -> bool:
+    """Whether the conjuncts `parts` hold together under some extension of
+    `env`, decided from the first: a conjunct whose names are all bound is
+    tested in place, any other is solved by its kind's solver, and where
+    one fails or has no solution left the last one solved takes its next."""
+    stack, i = [], 0
+    while i < len(parts):
+        g, i = parts[i], i + 1
+        if not env.keys() >= g._elems:
+            stack.append((i, _SOLVE[type(g)](a, g, env, want, memo)))
+        elif g._ev(a, env, memo):
+            continue
+        while stack and (env := next(stack[-1][1], None)) is None:
+            stack.pop()
+        if not stack:
+            return False
+        i = stack[-1][0]
+    return True
 
 
 def _join(a: Structure, g: And, env: dict, want: tuple, memo: dict) -> Iterator[dict]:
@@ -587,17 +628,16 @@ def _j_fiber(n: int, z: str, chunk_width: int) -> Iterator[frozenset]:
         columns.append([(x, y) for x in range(n)
                         for y in (low, low | 1 << chunk_width) if y < n])
 
-    def choose(chosen: tuple) -> Iterator[frozenset]:
+    todo = [()]  # chosen prefixes, the least on top
+    while todo:
+        chosen = todo.pop()
         if len(chosen) == len(columns):
             yield frozenset(chosen)
-            return
+            continue
         column = columns[len(chosen)]
         # columns are sorted: take only the tuples above the last one chosen
         start = bisect.bisect_right(column, chosen[-1]) if chosen else 0
-        for t in column[start:]:
-            yield from choose(chosen + (t,))
-
-    return choose(())
+        todo += [chosen + (t,) for t in reversed(column[start:])]
 
 
 def evaluate_via_bitstrings(u: StringStructure, f: Formula) -> bool:
@@ -621,21 +661,23 @@ def evaluate_via_bitstrings(u: StringStructure, f: Formula) -> bool:
         raise UnsupportedShape(f"ceil_log({n}) = {width} < 2")
     chunk_width = width - 1
 
-    def assign(rest: list, env: dict) -> bool:
-        if not rest:
-            return run(u, env, memo)
-        relvar, _, k = rest[0]
-        max_chunks = log_pow(n, k)
-        for count in range(max_chunks + 1):
+    def guesses(env: dict, relvar: str, k: int) -> Iterator[dict]:  # env, relvar guessed
+        for count in range(log_pow(n, k) + 1):
             for bits in itertools.product("01", repeat=count * chunk_width):
-                z = "".join(bits)
-                for rel in _j_fiber(n, z, chunk_width):
-                    if assign(rest[1:], {**env, relvar: rel}):
-                        return True
-        return False
+                for rel in _j_fiber(n, "".join(bits), chunk_width):
+                    yield {**env, relvar: rel}
 
-    run, memo = prepare(matrix), {}
-    return assign(prefix, {})
+    # one iterator of assignments per relation variable bound so far, after the empty one
+    run, memo, stack = prepare(matrix), {}, [iter(({},))]
+    while stack:
+        if (env := next(stack[-1], None)) is None:
+            stack.pop()
+        elif len(stack) <= len(prefix):
+            relvar, _, k = prefix[len(stack) - 1]
+            stack.append(guesses(env, relvar, k))
+        elif run(u, env, memo):
+            return True
+    return False
 
 
 def gc_check(u: StringStructure, k: int, c: int,

@@ -35,8 +35,18 @@ def files(tmp_path):
 
 
 def run(argv, capsys):
+    """The exit code and standard output of a command that writes nothing on
+    standard error."""
+    code, out, err = run_with_stderr(argv, capsys)
+    assert err == ""
+    return code, out
+
+
+def run_with_stderr(argv, capsys):
+    """The exit code, standard output and standard error of a command."""
     code = cli.run_command(argv)
-    return code, capsys.readouterr().out
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def test_eval_trivial_sentence(files, capsys):
@@ -170,14 +180,11 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_input_error_exit_code(files, capsys):
-    code, _ = run(["eval", "--structure", files["graph"],
-                   "--formula", "Ex. x="], capsys)
-    assert code == 2
-    code, _ = run(["eval", "--structure", "/nonexistent.json",
-                   "--formula", "Ex. x=x"], capsys)
-    assert code == 2
-    code, _ = run(["jencode", "--n", "8", "--tuples", "(0,9)"], capsys)
-    assert code == 2
+    for argv in (["eval", "--structure", files["graph"], "--formula", "Ex. x="],
+                 ["eval", "--structure", "/nonexistent.json", "--formula", "Ex. x=x"],
+                 ["jencode", "--n", "8", "--tuples", "(0,9)"]):
+        code, out, err = run_with_stderr(argv, capsys)
+        assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text,position", [
@@ -187,9 +194,9 @@ def test_input_error_exit_code(files, capsys):
 def test_integer_past_the_int_string_limit_exit_code(tmp_path, capsys, text, position):
     path = tmp_path / "long.txt"
     path.write_text(text)
-    assert run(["check", "--formula-file", str(path)], capsys) == (
-        2, f"error: FormulaSyntaxError: at position {position}: expected at most "
-           f"{sys.get_int_max_str_digits()} digits, found '5000 digits'\n")
+    assert run_with_stderr(["check", "--formula-file", str(path)], capsys) == (
+        2, "", f"error: FormulaSyntaxError: at position {position}: expected at most "
+               f"{sys.get_int_max_str_digits()} digits, found '5000 digits'\n")
 
 
 @pytest.mark.parametrize("argv,doc,kind", [
@@ -220,8 +227,9 @@ def test_integer_past_the_int_string_limit_exit_code(tmp_path, capsys, text, pos
 def test_malformed_document_exit_code(tmp_path, capsys, argv, doc, kind):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    code, out = run(argv + [str(path)], capsys)
-    assert code == 2 and out.startswith(f"error: ParseError: malformed {kind} document")
+    code, out, err = run_with_stderr(argv + [str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: ParseError: malformed {kind} document")
 
 
 @pytest.mark.parametrize("argv", [
@@ -232,8 +240,8 @@ def test_non_integer_component_exit_code(tmp_path, capsys, argv):
     path = tmp_path / "float.json"
     path.write_text('{"signature": [["E", 2]], "n": 3, "relations": {"E": [[0, 1.5]]}, '
                     '"ordered": true}')
-    assert run(argv + [str(path)], capsys) == (
-        2, "error: OutOfRange: component 1.5 of E(0, 1.5) not in [0,3)\n")
+    assert run_with_stderr(argv + [str(path)], capsys) == (
+        2, "", "error: OutOfRange: component 1.5 of E(0, 1.5) not in [0,3)\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -245,14 +253,14 @@ def test_non_integer_component_exit_code(tmp_path, capsys, argv):
 def test_non_utf8_file_exit_code(tmp_path, capsys, argv):
     path = tmp_path / "latin1.txt"
     path.write_bytes("{\"n\": 3} # \u00e9".encode("latin-1"))
-    code, out = run(argv + [str(path)], capsys)
-    assert code == 2 and out.startswith("error: UnicodeDecodeError: ")
+    code, out, err = run_with_stderr(argv + [str(path)], capsys)
+    assert code == 2 and out == "" and err.startswith("error: UnicodeDecodeError: ")
 
 
 def test_log_quantified_signature_name_exit_code(capsys):
-    code, out = run(["eval", "--string", "1111",
-                     "--formula", "E2log[1] P0:1 . Ex. P0(x)"], capsys)
-    assert code == 2 and "UnknownRelation" in out
+    code, out, err = run_with_stderr(["eval", "--string", "1111",
+                                      "--formula", "E2log[1] P0:1 . Ex. P0(x)"], capsys)
+    assert code == 2 and out == "" and "UnknownRelation" in err
 
 
 # formulas that together use all 13 node kinds and both constant terms, and
@@ -378,8 +386,9 @@ def test_game_golden_output(argv, lines, files, capsys):
 
 @pytest.mark.parametrize("text,code,lines", CHECK_GOLDEN)
 def test_check_golden_output(text, code, lines, capsys):
-    assert run(["--format", "machine", "check", "--formula", text], capsys) == \
-        (code, "".join(line + "\n" for line in lines))
+    doc = "".join(line + "\n" for line in lines)  # an error line goes to standard error
+    assert run_with_stderr(["--format", "machine", "check", "--formula", text], capsys) == \
+        ((code, "", doc) if code else (code, doc, ""))
 
 
 def test_resource_limit_exit_code(tmp_path, capsys):
@@ -388,9 +397,9 @@ def test_resource_limit_exit_code(tmp_path, capsys):
     pa, pb = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     save_structure(a, pa)
     save_structure(b, pb)
-    code, out = run(["game", "--a", pa, "--b", pb, "--m", "1", "--r", "1",
-                     "--k", "1", "--s", "1", "--budget", "500"], capsys)
-    assert code == 3 and "resource limit" in out
+    code, out, err = run_with_stderr(["game", "--a", pa, "--b", pb, "--m", "1", "--r", "1",
+                                      "--k", "1", "--s", "1", "--budget", "500"], capsys)
+    assert code == 3 and "error" not in out and err.startswith("error: resource limit: ")
 
 
 def test_even_demo_budget_bounds_the_fresh_strategy_check(capsys, monkeypatch):
@@ -399,11 +408,10 @@ def test_even_demo_budget_bounds_the_fresh_strategy_check(capsys, monkeypatch):
     stops the check, and the command exits 3 naming it."""
     solve = game.game_winner
     monkeypatch.setattr(game, "game_winner", lambda a, b, params, budget: solve(a, b, params))
-    code, out = run(["even-demo", "--m", "1", "--r", "1", "--k", "1", "--s", "1",
-                     "--budget", "10"], capsys)
-    assert code == 3
-    assert out == ("n_a: 10\nn_b: 11\nwinner: Duplicator\nnodes: 670\n"
-                   "error: resource limit: fresh-strategy check: budget 10 exceeded\n")
+    assert run_with_stderr(["even-demo", "--m", "1", "--r", "1", "--k", "1", "--s", "1",
+                            "--budget", "10"], capsys) == (
+        3, "n_a: 10\nn_b: 11\nwinner: Duplicator\nnodes: 670\n",
+        "error: resource limit: fresh-strategy check: budget 10 exceeded\n")
 
 
 def test_outputs_are_deterministic(files, capsys):
@@ -509,8 +517,8 @@ def test_bad_arguments_exit_code(argv, tmp_path, capsys):
     big = tmp_path / "big.json"
     big.write_text('{"signature": [["E", 2]], "n": 3, "relations": {"E": [[%s, 0]]}}'
                    % ("1" * 5001))
-    code, out = run([str(big) if arg == "BIG" else arg for arg in argv], capsys)
-    assert code == 2 and out.startswith("error: ")
+    code, out, err = run_with_stderr([str(big) if arg == "BIG" else arg for arg in argv], capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 # --- property: any argv ends with exit code 0-3 and no traceback ---

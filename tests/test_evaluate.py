@@ -1,6 +1,7 @@
 """Model checking: FO, fixed points, log-quantifiers, and the two
 string-based evaluation paths."""
 
+import gc
 import importlib
 import itertools
 import math
@@ -59,6 +60,7 @@ from logifp.formula import (
     validate,
     walk,
 )
+from logifp.interp import apply_interpretation, build_J_reduction
 from test_formula import _random_formula
 
 DIGRAPH = Signature((("E", 2),), ordered=False)
@@ -148,6 +150,45 @@ def test_atoms_read_in_one_step_raise_as_the_oracle(text, structure):
     f = parse_formula(text)
     for env in ({}, {"x": 1}, {"y": 2}, {"x": 1, "y": 2}, {"x": 2, "y": 2}):
         assert _result(prepare(f), a, env, {}) == _result(eval_oracle.evaluate, a, f, env), env
+
+
+# Each atomic formula that reads the assignment directly, in three cases: a
+# name unbound on the ordered string 011; an unordered 3-element digraph with
+# only x bound; and the literal 3, which is not below n = 3, with x and y
+# bound.  The answers and errors are those recorded before the direct reads.
+ERROR_PRECEDENCE = [
+    ("x=y", "unbound", (UnboundVariable, "x")),
+    ("x=y", "unordered", (UnboundVariable, "y")),
+    ("x=y", "literal", False),
+    ("x<y", "unbound", (UnboundVariable, "x")),
+    ("x<y", "unordered", (OrderUsedUnordered, "'<' on an unordered structure")),
+    ("x<y", "literal", True),
+    ("x=3", "unbound", (UnboundVariable, "x")),
+    ("x=3", "unordered", (OrderUsedUnordered, "literal 3 needs the built-in order")),
+    ("x=3", "literal", (OutOfRange, "literal 3 not in [0,3)")),
+    ("3<x", "unbound", (OutOfRange, "literal 3 not in [0,3)")),
+    ("3<x", "unordered", (OrderUsedUnordered, "'<' on an unordered structure")),
+    ("3<x", "literal", (OutOfRange, "literal 3 not in [0,3)")),
+    ("P1(x)", "unbound", (UnboundVariable, "x")),
+    ("P1(x)", "unordered", (UnboundVariable, "relation P1")),
+    ("P1(x)", "literal", True),
+    ("E(x,y)", "unbound", (UnboundVariable, "x")),
+    ("E(x,y)", "unordered", (UnboundVariable, "y")),
+    ("E(x,y)", "literal", (UnboundVariable, "relation E")),
+    ("BIT(x,y)", "unbound", (UnboundVariable, "x")),
+    ("BIT(x,y)", "unordered", (OrderUsedUnordered, "BIT on an unordered structure")),
+    ("BIT(x,y)", "literal", False),
+]
+
+
+@pytest.mark.parametrize("text,case,expected", ERROR_PRECEDENCE)
+def test_direct_reads_raise_the_error_met_first(text, case, expected):
+    a, env = {"unbound": (from_text("011"), {"y": 2}),
+              "unordered": (digraph(3, {(0, 1), (2, 2)}), {"x": 1}),
+              "literal": (from_text("011"), {"x": 1, "y": 2})}[case]
+    f = parse_formula(text)
+    assert _result(prepare(f), a, env, {}) == expected
+    assert _result(eval_oracle.evaluate, a, f, env) == expected
 
 
 def test_errors_follow_the_order_of_disjuncts():
@@ -355,18 +396,62 @@ def test_every_kind_of_formula_has_a_solver():
     ("x<y", {"y": 2}, ("x",), [{"x": 0, "y": 2}, {"x": 1, "y": 2}]),
     ("x=x | P1(x)", {}, ("x",), [{"x": 0}, {"x": 1}, {"x": 2}, {"x": 1}, {"x": 2}]),
     ("Ez.(z<x & P1(z))", {}, ("x",), [{"x": 2}]),
-    ("Ez.(x<z & P1(z))", {}, ("x",), [{"x": 0}, {"x": 0}, {"x": 1}]),  # one per witness z
+    ("Ez.(x<z & P1(z))", {}, ("x",), [{"x": 0}, {"x": 1}]),  # once, whatever the witness z
     ("!P0(x)", {"y": 0}, ("x",), [{"x": 1, "y": 0}, {"x": 2, "y": 0}]),
 ])
 def test_solve_tests_in_place_exactly_where_every_name_is_bound(text, env, want, expected):
     """A formula whose free element variables are all bound is tested in
     place and yields the assignment itself; any other is solved through the
-    solver of its kind, one solution per way its kind finds one."""
+    solver of its kind, one solution per way its kind finds one, and an
+    existential block one per binding of the names it does not hide."""
     u, f = from_text("011"), parse_formula(text)
     solutions = list(_solve(u, f, env, want, {}))
     assert solutions == expected
     if expected and env.keys() >= {x for x in "xyz" if x in text}:
         assert solutions[0] is env
+
+
+@pytest.mark.parametrize("strings", [True, False])
+def test_existential_solutions_are_distinct_and_complete(strings):
+    """_solve of `Ev.φ` or `Ev.Ew.φ`, for random quantifier-free φ and a
+    random partial assignment, yields no two extensions that agree on the
+    wanted names, however many witnesses the block has, and the bindings
+    they cover are those the oracle finds true."""
+    rng = random.Random(51 if strings else 52)
+    base, want = (("P1", 1) if strings else ("E", 2)), ("x", "y")
+    solved = 0
+    for _ in range(800):
+        f = _random_matrix(rng, rng.randint(1, 3), base)
+        for _ in range(rng.randint(1, 2)):
+            f = Exists(rng.choice("xyz"), f)
+        n = rng.randint(1, 4)
+        if strings:
+            u = from_text("".join(rng.choice("01") for _ in range(n)))
+        else:
+            u = digraph(n, _random_digraph(rng, n))
+        env = {v: rng.randrange(n) for v in "xyz" if rng.random() < 0.4}
+        solutions = outcome(lambda: list(_solve(u, f, env, want, {})))
+        if solutions in eval_oracle.LAZY:
+            continue  # the callers of _solve test binding by binding instead
+        solved += 1
+        keys = [tuple(s.get(name, "unbound") for name in want) for s in solutions]
+        assert len(set(keys)) == len(keys), pretty(f)
+        covered = set()
+        for solution in solutions:
+            unbound = [name for name in want if name not in solution]
+            for row in itertools.product(range(n), repeat=len(unbound)):
+                full = {**solution, **dict(zip(unbound, row))}
+                covered.add((full["x"], full["y"]))
+        for x, y in itertools.product(range(n), repeat=2):
+            full = {"x": x, "y": y, **env}
+            if (full["x"], full["y"]) != (x, y):
+                continue  # not an extension of env
+            expected = outcome(eval_oracle.evaluate, u, f, full)
+            if expected in eval_oracle.LAZY:
+                expected = outcome(eval_oracle.decided, u, f, full)
+            if expected is True or expected is False:
+                assert ((x, y) in covered) == expected, pretty(f)
+    assert solved > 400
 
 
 @pytest.mark.parametrize("text,env,expected", [
@@ -1020,6 +1105,31 @@ def test_bitstring_path_rejects_bad_shapes():
         evaluate_via_bitstrings(u, parse_formula("E2log[1] X:1 . Ex.X(x)"))
     with pytest.raises(UnsupportedShape):
         evaluate_via_bitstrings(from_text("01"), parse_formula("E2log[1] X:2 . Ex.X(x,x)"))
+
+
+@pytest.mark.parametrize("call", ["bitstrings", "set-first", "gc_check", "interpretation"])
+def test_evaluation_leaves_no_cyclic_garbage(call):
+    """Work a call drops is freed by reference counting alone: with the
+    cycle collector off, the call leaves nothing for it to collect."""
+    prenex = parse_formula("E2log[1] X:2 . Au.Av.((X(u,v) -> (P1(u) & P0(v)))"
+                           " & ((P1(u) & P0(v)) -> X(u,v)))")
+    checker = parse_formula("Ex.Ey.(PH(x) & x<y & P1(y))")
+    red = build_J_reduction(1)
+    a = Structure(red.source, 5, {"P0": {(0,), (2,)}, "P1": {(1,), (3,), (4,)},
+                                  "R1": {(0, 1), (2, 3), (4, 4)}})
+    run = {"bitstrings": lambda: evaluate_via_bitstrings(from_text("0001"), prenex),
+           "set-first": lambda: evaluate(from_text("0001"), prenex),
+           "gc_check": lambda: gc_check(from_text("0101"), 1, 2,
+                                        lambda v: evaluate(v, checker)),
+           "interpretation": lambda: apply_interpretation(red, a)}[call]
+    run()  # prepares the formulas
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_gc_check_search_space():
