@@ -22,13 +22,15 @@ universes are built from the satisfying assignments `_solve` generates.
 A node whose free element variables are all bound is tested in place by
 its closure, any other by its kind's solver in `_SOLVE`: an atom scans its
 relation, `x = t` binds x, `x < t` and `t < x` bind x to the range below
-or above t, conjunctions thread solutions left to right, disjunctions
-chain them, an `E` block hides its variables and yields each binding of
-the others once, whatever its witnesses, and any other formula pads its
-unbound variables from the domain and is tested (`_tested`, in ascending
-order).  An existential block decides from its first witness in one loop
-over the conjuncts of its body (`_witnessed`), and a universal block holds
-when testing finds no counterexample.
+or above t, conjunctions thread solutions in the order `_plan` fixes when
+they are prepared (a conjunct is tested once its names are bound, and the
+one with the fewest unbound names is solved next), disjunctions chain them,
+they and an `E` block yield each binding of the caller's names once, and
+any other formula pads its unbound variables from the domain and is tested
+(`_tested`, in ascending order).  An existential block decides from its
+first witness in one loop over its planned conjuncts (`_witnessed`), and a
+universal block holds when testing finds no counterexample.  Testing keeps
+written order and the short-circuits of `&` and `|`.
 
 `E2log`/`A2log` branch on the tuples the body reads (`_search`): a node
 is the set of tuples its branch answered "in" and the set it answered
@@ -133,10 +135,11 @@ def prepare(f: Formula) -> Callable[[Structure, dict, dict], bool]:
     under a maximal block of one kind of element quantifier, or an atomic
     formula's term getters), `_bound` (the block's variables, each at its
     last binding and in binding order, or a fixed point's), and `_elems` and
-    `_rels` (the element variables and relation names it reads free).  None
-    refers back to the node, so a dropped formula is freed without the cycle
-    collector.  The solvers of `_SOLVE` take prepared nodes only, and test a
-    node in place by `_ev` once its `_elems` are bound."""
+    `_rels` (the element variables and relation names it reads free); `_join`
+    adds an `&`'s `_order` when it first solves it.  None refers back to the
+    node, so a dropped formula is freed without the cycle collector.  The
+    solvers of `_SOLVE` take prepared nodes only, and test a node in place
+    by `_ev` once its `_elems` are bound."""
     ev = getattr(f, "_ev", None)
     return ev if ev is not None else fold(f, None, _PREPARE)[0]._ev
 
@@ -306,7 +309,8 @@ def _quantifier(g, kids, get):
     names, body, run = g._bound, kids[0], kids[0]._ev
     if type(g) is Forall:  # true when ascending testing finds no counterexample
         return lambda a, env, memo: next(_tested(a, run, env, names, memo, (), False), None) is None
-    parts = body._parts if type(body) is And else (body,)  # the conjuncts `_witnessed` walks
+    # the conjuncts `_witnessed` walks, the block's free names bound on entry
+    parts = _plan(body._parts, g._elems) if type(body) is And else (body,)
 
     def ev(a, env, memo):
         try:
@@ -485,8 +489,13 @@ def _solve_compare(a, g, env, want, memo):  # x = t binds x to t; x < t and t < 
     return _solve_tested(a, g, env, want, memo)
 
 
-def _solve_or(a, g, env, want, memo):
-    return itertools.chain.from_iterable(_solutions(a, h, env, want, memo) for h in g._parts)
+def _solve_or(a, g, env, want, memo):  # each binding once, whichever disjuncts hold under it
+    free, seen = [x for x in want if x not in env], set()
+    for h in g._parts:
+        for ext in _solutions(a, h, env, want, memo):
+            if (key := tuple(map(ext.get, free))) not in seen:
+                seen.add(key)
+                yield ext
 
 
 def _solve_exists(a, g, env, want, memo):  # the body's solutions, the block's names hidden
@@ -494,7 +503,7 @@ def _solve_exists(a, g, env, want, memo):  # the body's solutions, the block's n
     free, seen = [x for x in want if x not in env and x not in names], set()
     for ext in _solutions(a, g._parts[0], _without(env, names),
                           tuple(dict.fromkeys(want + names)), memo):
-        if (key := tuple([ext.get(x, _MISSING) for x in free])) not in seen:  # once per binding
+        if (key := tuple(map(ext.get, free))) not in seen:  # once per binding
             seen.add(key)
             yield {**_without(ext, names), **kept}
 
@@ -561,10 +570,31 @@ def _witnessed(a: Structure, parts, env: dict, want: tuple, memo: dict) -> bool:
     return True
 
 
+def _plan(parts, bound) -> tuple:
+    """The conjuncts `parts` in solving order, the names `bound` bound
+    before them: in rounds, each conjunct whose names are all bound, in
+    written order, then the one with the fewest unbound names, the first
+    written among equals, whose names count as bound from then on."""
+    order, bound = [], set(bound)
+    while parts:
+        ready = list(map(bound.issuperset, map(operator.attrgetter("_elems"), parts)))
+        order += itertools.compress(parts, ready)
+        parts = list(itertools.compress(parts, map(operator.not_, ready)))
+        if parts:
+            unbound = [len(g._elems - bound) for g in parts]
+            g = parts.pop(unbound.index(min(unbound)))
+            bound |= g._elems
+            order.append(g)
+    return tuple(order)
+
+
 def _join(a: Structure, g: And, env: dict, want: tuple, memo: dict) -> Iterator[dict]:
-    """Solutions of a conjunction: one iterator per conjunct, each started
-    from a solution of the ones before, kept on a stack."""
-    parts, stack = g._parts, [_solutions(a, g._parts[0], env, want, memo)]
+    """Solutions of a conjunction: one iterator per conjunct in its plan with
+    no name bound, made on the first call and kept as `_order` (most
+    conjunctions are only tested), each started from a solution of the ones
+    before, kept on a stack."""
+    parts = g.__dict__.get("_order") or g.__dict__.setdefault("_order", _plan(g._parts, ()))
+    stack = [_solutions(a, parts[0], env, want, memo)]
     while stack:
         if (ext := next(stack[-1], None)) is None:
             stack.pop()

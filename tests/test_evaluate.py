@@ -1,6 +1,7 @@
 """Model checking: FO, fixed points, log-quantifiers, and the two
 string-based evaluation paths."""
 
+import functools
 import gc
 import importlib
 import itertools
@@ -394,7 +395,7 @@ def test_every_kind_of_formula_has_a_solver():
     # one name unbound: solved by the formula's kind, never tested as it is
     ("P1(x)", {}, ("x",), [{"x": 1}, {"x": 2}]),
     ("x<y", {"y": 2}, ("x",), [{"x": 0, "y": 2}, {"x": 1, "y": 2}]),
-    ("x=x | P1(x)", {}, ("x",), [{"x": 0}, {"x": 1}, {"x": 2}, {"x": 1}, {"x": 2}]),
+    ("x=x | P1(x)", {}, ("x",), [{"x": 0}, {"x": 1}, {"x": 2}]),  # once, whichever disjunct
     ("Ez.(z<x & P1(z))", {}, ("x",), [{"x": 2}]),
     ("Ez.(x<z & P1(z))", {}, ("x",), [{"x": 0}, {"x": 1}]),  # once, whatever the witness z
     ("!P0(x)", {"y": 0}, ("x",), [{"x": 1, "y": 0}, {"x": 2, "y": 0}]),
@@ -409,6 +410,101 @@ def test_solve_tests_in_place_exactly_where_every_name_is_bound(text, env, want,
     assert solutions == expected
     if expected and env.keys() >= {x for x in "xyz" if x in text}:
         assert solutions[0] is env
+
+
+def test_a_conjunct_is_tested_once_its_names_are_bound(monkeypatch):
+    """The existential block of the gc_check sentence, no name bound on
+    entry, binds h by `PH(h)`, then x by `x<h`, and tests the gap between
+    them right after, before it binds y.  A conjunction solved by `_join`
+    takes the guard of the J-universe's `Eb0.` block, which binds b0 below
+    logn (3 on eight elements), before the comparison that needs both
+    names, and keeps that order on the node."""
+    ev, walked = importlib.import_module("logifp.evaluate"), []
+    witnessed = ev._witnessed
+    monkeypatch.setattr(ev, "_witnessed", lambda a, parts, *rest: (
+        walked.append([pretty(g) for g in parts]), witnessed(a, parts, *rest))[1])
+    f = parse_formula("Eh.Ex.Ey.(PH(h) & x<h & h<y & !(Ez.(x<z & z<h)) & !(Ez.(h<z & z<y))"
+                      " & ((P1(x) & P0(y)) | (P0(x) & P1(y))))")
+    assert evaluate(from_text("01#00"), f) is True
+    assert walked[0] == ["PH(h)", "x<h", "!(Ez. (x<z & z<h))", "h<y", "!(Ez. (h<z & z<y))",
+                         "((P1(x) & P0(y)) | (P0(x) & P1(y)))"]
+    g = parse_formula("x3<b0 & b0<logn")
+    assert list(_solve(from_text("0" * 8), g, {}, ("x3", "b0"), {})) \
+        == [{"b0": 1, "x3": 0}, {"b0": 2, "x3": 0}, {"b0": 2, "x3": 1}]
+    assert [pretty(h) for h in g._order] == ["b0<logn", "x3<b0"]
+
+
+def test_the_j_universe_pads_no_name(monkeypatch):
+    """The J-universe's guard `Eb0.(x3<b0 & b0<logn)` is solved for x3
+    after b0 is bound below logn, so no conjunct of the universe pads its
+    names from the domain (written order padded (x3, b0), n^2 bindings,
+    once per tuple of R1)."""
+    ev, padded = importlib.import_module("logifp.evaluate"), []
+    tested = ev._tested
+    monkeypatch.setattr(ev, "_tested", lambda a, run, env, names, *rest: (
+        padded.append(tuple(names)), tested(a, run, env, names, *rest))[1])
+    red, u = build_J_reduction(1), from_text("11111")
+    a = Structure(red.source, u.n, {**u.rels, "R1": frozenset({(0, 1), (2, 3), (4, 4)})})
+    names = tuple(f"x{i}" for i in range(1, 7))
+    assert satisfying(a, red.uni, names) == _satisfying_oracle(a, red.uni, names, {})
+    assert padded == []
+
+
+def _covered(n, solutions, want):
+    """The values of `want` that the solutions cover, an unbound name
+    standing for every element."""
+    covered = set()
+    for solution in solutions:
+        unbound = [name for name in want if name not in solution]
+        for row in itertools.product(range(n), repeat=len(unbound)):
+            full = {**solution, **dict(zip(unbound, row))}
+            covered.add(tuple(full[name] for name in want))
+    return covered
+
+
+@pytest.mark.parametrize("strings", [True, False])
+def test_planned_solutions_are_those_of_the_written_order(monkeypatch, strings):
+    """_solve of random conjunctions and existential blocks covers the same
+    bindings whether its conjunctions are solved in planned or in written
+    order, and those are the bindings the oracle finds true; z is bound,
+    x and y sometimes."""
+    ev = importlib.import_module("logifp.evaluate")
+    rng = random.Random(61 if strings else 62)
+    base, want = (("P1", 1) if strings else ("E", 2)), ("x", "y")
+    compared = 0
+    for _ in range(600):
+        parts = [_random_log_formula(rng, rng.randint(0, 2), base, {"Y": 1})
+                 if rng.random() < 0.5 else _random_matrix(rng, rng.randint(0, 2), base)
+                 for _ in range(rng.randint(2, 4))]
+        f = functools.reduce(And, parts)
+        if rng.random() < 0.5:
+            f = Exists(rng.choice("xyz"), f)
+        n = rng.randint(1, 4)
+        if strings:
+            u = from_text("".join(rng.choice("01") for _ in range(n)))
+        else:
+            u = digraph(n, _random_digraph(rng, n))
+        env = {v: rng.randrange(n) for v in "xy" if rng.random() < 0.3}
+        env.update(z=rng.randrange(n), Y=frozenset((rng.randrange(n),) for _ in range(2)))
+        written = pickle.loads(pickle.dumps(f))
+        planned = outcome(lambda: _covered(n, _solve(u, f, env, want, {}), want))
+        with monkeypatch.context() as patch:
+            patch.setattr(ev, "_plan", lambda parts, bound: tuple(parts))
+            unplanned = outcome(lambda: _covered(n, _solve(u, written, env, want, {}), want))
+        if planned in eval_oracle.LAZY or unplanned in eval_oracle.LAZY:
+            continue  # the callers of _solve test binding by binding instead
+        assert planned == unplanned, pretty(f)
+        compared += 1
+        for x, y in itertools.product(range(n), repeat=2):
+            full = {"x": x, "y": y, **env}
+            if (full["x"], full["y"]) != (x, y):
+                continue  # not an extension of env
+            expected = outcome(eval_oracle.evaluate, u, f, full)
+            if expected in eval_oracle.LAZY:
+                expected = outcome(eval_oracle.decided, u, f, full)
+            if expected is True or expected is False:
+                assert ((x, y) in planned) == expected, pretty(f)
+    assert compared > 300
 
 
 @pytest.mark.parametrize("strings", [True, False])
@@ -436,12 +532,7 @@ def test_existential_solutions_are_distinct_and_complete(strings):
         solved += 1
         keys = [tuple(s.get(name, "unbound") for name in want) for s in solutions]
         assert len(set(keys)) == len(keys), pretty(f)
-        covered = set()
-        for solution in solutions:
-            unbound = [name for name in want if name not in solution]
-            for row in itertools.product(range(n), repeat=len(unbound)):
-                full = {**solution, **dict(zip(unbound, row))}
-                covered.add((full["x"], full["y"]))
+        covered = _covered(n, solutions, want)
         for x, y in itertools.product(range(n), repeat=2):
             full = {"x": x, "y": y, **env}
             if (full["x"], full["y"]) != (x, y):
@@ -706,6 +797,25 @@ def test_evaluation_is_invariant_under_relabelling():
     assert checked > 200
 
 
+@pytest.mark.parametrize("text,n,edges,env", [
+    # E(z,z) is tested before y is bound, so `y<y` is never reached
+    ("E2log[1] X:1 . Ax. Ey. (y<y & E(z,z))", 4, {(1, 1), (0, 2)}, {"x": 0, "y": 0, "z": 3}),
+    # the scan of X(y,v), one unbound name, comes before the fixed point
+    # that reads `z<v`, and the empty X has no tuple to scan
+    ("A2log[1] X:2 . ifp[Z(u,v) <- (ifp[Z(u,v) <- z<v](v,y) & (Eu. X(y,v)))](y,z)", 1,
+     {(0, 0)}, {"x": 0, "y": 0, "z": 0}),
+])
+def test_a_planned_order_answers_what_three_valued_logic_decides(text, n, edges, env):
+    """On an unordered digraph, testing each binding in ascending order
+    meets a `<` first and raises; the planned order takes a conjunct that
+    fails before it, and the answer is the one three-valued logic gives."""
+    u, f = digraph(n, edges), parse_formula(text)
+    with pytest.raises(OrderUsedUnordered):
+        eval_oracle.evaluate(u, f, env)
+    assert eval_oracle.decided(u, f, env) is False
+    assert evaluate(u, f, env) is False
+
+
 def test_log_search_witness_comes_before_a_later_error():
     # enumeration tries {0} before {1} and meets the unbound z; the search
     # reads X(1) first, so its first child {1} is a witness, and
@@ -754,14 +864,28 @@ def test_log_search_evaluates_the_body_at_most_as_often_as_enumeration(
 @pytest.mark.parametrize("string,count", [("1011", 137), ("10110", 2626)])
 def test_log_search_evaluates_a_body_that_never_holds_once_per_bounded_relation(
         monkeypatch, string, count):
+    """The body asks for a tuple both in X and not in X, so it holds for no
+    relation; whichever conjunct comes first, both names are unbound and
+    every tuple is read, so the search meets each bounded relation exactly
+    once: 1 + 16 + 120 of them on 1011, 1 + 25 + 300 + 2300 on 10110."""
+    u = from_text(string)
+    relations = sum(1 for _ in enumerate_bounded_relations(u.n, 2, log_pow(u.n, 1)))
+    for text in ("E2log[1] X:2 . Ex.Ey.(X(x,y) & !X(x,y))",
+                 "E2log[1] X:2 . Ex.Ey.(!X(x,y) & X(x,y))"):
+        assert _body_evaluations(monkeypatch, u, parse_formula(text), False) \
+            == relations == count
+
+
+@pytest.mark.parametrize("string,count", [("1011", 28), ("10110", 927)])
+def test_log_search_scans_only_the_tuples_a_bound_name_allows(monkeypatch, string, count):
     """The body asks for a tuple of X whose first entry is in P0 and forbids
-    every such tuple, so it holds for no relation, and the search meets
-    each bounded relation exactly once: 1 + 16 + 120 of them on 1011,
-    1 + 25 + 300 + 2300 on 10110."""
+    every such tuple, so it holds for no relation.  `P0(x)` has fewer
+    unbound names than `X(x,y)`, so it binds x first and the scan reads
+    only the tuples that start with a 0-position: far fewer nodes than the
+    137 and 2,626 bounded relations the scan with both names unbound met."""
     u = from_text(string)
     f = parse_formula("E2log[1] X:2 . (Ax.Ay.(X(x,y) -> P1(x)) & Ex.Ey.(X(x,y) & P0(x)))")
-    relations = sum(1 for _ in enumerate_bounded_relations(u.n, 2, log_pow(u.n, 1)))
-    assert _body_evaluations(monkeypatch, u, f, False) == relations == count
+    assert _body_evaluations(monkeypatch, u, f, False) == count
 
 
 def _body_evaluations(monkeypatch, u, f, answer) -> int:
